@@ -397,12 +397,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 }
 
 // BenchmarkInjectOverhead measures the cost of a fault-injection
-// campaign. "off" runs with no sink attached — the tracker's sink==nil
-// fast path — and "nil" attaches a typed-nil *Campaign, exercising the
-// nil-receiver no-op on the hot path (the pipetrace convention); both
-// must stay within 5% of BenchmarkSimulatorCycles. "on" attaches a
-// dense every-cycle campaign and also runs the post-run strike phase,
-// showing what a full -inject run pays.
+// campaign. "off" runs with no sink attached — the tracker's batched
+// no-sink path — and must stay within 5% of BenchmarkSimulatorCycles.
+// "on" attaches a dense every-cycle campaign and also runs the post-run
+// strike phase, showing what a full -inject run pays.
 func BenchmarkInjectOverhead(b *testing.B) {
 	b.ReportAllocs()
 	run := func(b *testing.B, mode string) {
@@ -424,12 +422,6 @@ func BenchmarkInjectOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if mode == "nil" {
-				// The typed-nil sink exercises the nil-receiver no-op on
-				// the hot path; only the deprecated setter can install it
-				// (WithFaultInjection treats a nil campaign as absent).
-				sim.InjectFaults(camp)
-			}
 			res, err := sim.Run(uint64(benchBase) * 2)
 			if err != nil {
 				b.Fatal(err)
@@ -442,7 +434,6 @@ func BenchmarkInjectOverhead(b *testing.B) {
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 	}
 	b.Run("off", func(b *testing.B) { run(b, "off") })
-	b.Run("nil", func(b *testing.B) { run(b, "nil") })
 	b.Run("on", func(b *testing.B) { run(b, "on") })
 }
 
@@ -479,9 +470,8 @@ func BenchmarkPipetraceOverhead(b *testing.B) {
 }
 
 // BenchmarkPropagationOverhead measures the cost of the fault-propagation
-// tracer. "off" runs with no tracer — the prop==nil fast path at the
-// commit/squash hooks — and "nil" attaches a typed-nil *PropagationTracer,
-// exercising the nil-receiver no-op; both must stay within noise of
+// tracer. "off" runs with no retire observer — the commit/squash hooks
+// skip materialization — and must stay within noise of
 // BenchmarkSimulatorCycles. "on" attaches a tracer, samples strikes into
 // every structure, and runs the Analyze pass, showing what a full
 // -propagation run pays.
@@ -511,11 +501,6 @@ func BenchmarkPropagationOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if mode == "nil" {
-				// The typed-nil tracer exercises the nil-receiver no-op on
-				// the hot path.
-				sim.SetPropagation(tracer)
-			}
 			res, err := sim.Run(uint64(benchBase) * 2)
 			if err != nil {
 				b.Fatal(err)
@@ -534,13 +519,12 @@ func BenchmarkPropagationOverhead(b *testing.B) {
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 	}
 	b.Run("off", func(b *testing.B) { run(b, "off") })
-	b.Run("nil", func(b *testing.B) { run(b, "nil") })
 	b.Run("on", func(b *testing.B) { run(b, "on") })
 }
 
 // BenchmarkCPIStackOverhead measures the cost of the explainability
-// observer. "off" runs fully detached — SetCPIStack is never called, so
-// the per-cycle attribution pass is skipped behind a single nil check
+// observer. "off" runs fully detached — no cycle observer is attached, so
+// the per-cycle attribution pass is skipped behind a single length check
 // and must stay within noise of BenchmarkSimulatorCycles. "on" attaches
 // an observer with default 10k-cycle windows, showing what a full
 // -cpistack run pays (one attribution pass per cycle plus windowed

@@ -65,7 +65,7 @@ func BenchmarkClassifyBatch(b *testing.B) {
 	b.Run("attached", func(b *testing.B) {
 		pool, uids, trk := classifyFixture(n)
 		sink := &countSink{}
-		trk.SetSink(sink)
+		trk.Sinks = append(trk.Sinks, sink)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -76,8 +76,13 @@ type Tracker struct {
 	bits    [NumStructs]uint64 // capacity in bits of each structure
 	ace     [NumStructs][]uint64
 	unace   [NumStructs][]uint64
-	sink    Sink
 	rebase  uint64 // intervals are clipped to start no earlier than this
+
+	// Sinks receive every positioned interval AddInterval records, in
+	// attach order, and every Rebase (those implementing RebaseObserver).
+	// Intervals recorded through the position-less Add or the batched
+	// AddSpan are not forwarded.
+	Sinks []Sink
 
 	// pend holds batched occupancy deltas not yet folded into ace/unace:
 	// bit-cycle products indexed (s×threads+tid)×2, +1 for ACE. AddSpan
@@ -122,7 +127,7 @@ func (t *Tracker) AddSpan(s Struct, tid int, bits, start, end uint64, ace bool) 
 // HasSink reports whether a positioned-interval sink is attached. Batched
 // call sites check it to fall back to AddInterval, which forwards interval
 // positions the batch cannot carry.
-func (t *Tracker) HasSink() bool { return t.sink != nil }
+func (t *Tracker) HasSink() bool { return len(t.Sinks) > 0 }
 
 // drain folds the pending batched bit-cycles into the accumulators.
 // Every reader calls it first, so the batch is never observable.

@@ -4,7 +4,7 @@ package avf
 // The accumulators in Tracker only need (bits × cycles) totals, but
 // consumers like statistical fault injection (internal/inject) need to
 // know *when* state was resident; call sites that know interval positions
-// use AddInterval, which both accumulates and forwards to the sink.
+// use AddInterval, which both accumulates and forwards to every sink.
 type Sink interface {
 	// Interval reports that 'bits' bits of structure s, owned by thread
 	// tid, were resident from cycle start (inclusive) to end (exclusive),
@@ -13,47 +13,8 @@ type Sink interface {
 	Interval(s Struct, tid int, bits, start, end uint64, ace bool)
 }
 
-// SetSink attaches a Sink receiving every positioned interval; nil
-// detaches. Intervals recorded through the position-less Add are not
-// forwarded (no call sites mix the two for the same structure).
-func (t *Tracker) SetSink(s Sink) { t.sink = s }
-
-// AddSink attaches an additional Sink alongside any already installed:
-// with none it behaves like SetSink; otherwise the existing sink and the
-// new one both receive every interval (and, for those implementing
-// RebaseObserver, every rebase). Fault injection installs its campaign
-// via SetSink and the CPI-stack observer joins via AddSink, so the two
-// observe the identical interval stream.
-func (t *Tracker) AddSink(s Sink) {
-	if t.sink == nil {
-		t.sink = s
-		return
-	}
-	t.sink = &teeSink{a: t.sink, b: s}
-}
-
-// teeSink fans one interval stream out to two sinks, forwarding rebase
-// notifications to whichever children observe them.
-type teeSink struct {
-	a, b Sink
-}
-
-func (t *teeSink) Interval(s Struct, tid int, bits, start, end uint64, ace bool) {
-	t.a.Interval(s, tid, bits, start, end, ace)
-	t.b.Interval(s, tid, bits, start, end, ace)
-}
-
-func (t *teeSink) Rebase(cycle uint64) {
-	if o, ok := t.a.(RebaseObserver); ok {
-		o.Rebase(cycle)
-	}
-	if o, ok := t.b.(RebaseObserver); ok {
-		o.Rebase(cycle)
-	}
-}
-
 // AddInterval records a residency interval [start, end) and forwards it to
-// the sink, if any. Intervals are clipped against the rebase point (see
+// every sink. Intervals are clipped against the rebase point (see
 // Rebase), so warmup-era residency never pollutes measured statistics.
 func (t *Tracker) AddInterval(s Struct, tid int, bits, start, end uint64, ace bool) {
 	if start < t.rebase {
@@ -63,17 +24,18 @@ func (t *Tracker) AddInterval(s Struct, tid int, bits, start, end uint64, ace bo
 		return
 	}
 	t.Add(s, tid, bits, end-start, ace)
-	if t.sink != nil {
-		t.sink.Interval(s, tid, bits, start, end, ace)
+	for _, k := range t.Sinks {
+		k.Interval(s, tid, bits, start, end, ace)
 	}
 }
 
-// RebaseObserver is the optional half of the sink contract: a Sink that
-// also implements it is told when the tracker rebases, so interval
-// consumers (fault-injection campaigns, telemetry windows) can drop their
+// RebaseObserver is the optional rebase half of an observer: a Sink that
+// implements it is told when the tracker rebases, so interval consumers
+// (fault-injection campaigns, the CPI-stack observer) can drop their
 // warmup-era state instead of silently mixing it with measured intervals.
-// Sinks that never see a rebase (no warmup configured) need not implement
-// it.
+// core.Processor tells every other attached observer implementing it at
+// the same point. Observers that never see a rebase (no warmup
+// configured) need not implement it.
 type RebaseObserver interface {
 	// Rebase reports that accumulation restarted at cycle: intervals
 	// observed before it belong to warmup and must not contribute to
@@ -84,7 +46,7 @@ type RebaseObserver interface {
 // Rebase zeroes the accumulators and clips all future intervals at cycle:
 // the simulator calls it at the end of a warmup period, so that AVFs cover
 // only the measurement window. Callers must thereafter compute AVFs over
-// cycles-since-rebase. An attached Sink that implements RebaseObserver is
+// cycles-since-rebase. Every sink that implements RebaseObserver is
 // notified after the accumulators reset.
 func (t *Tracker) Rebase(cycle uint64) {
 	t.drain() // pre-rebase spans must be zeroed with everything else
@@ -95,7 +57,9 @@ func (t *Tracker) Rebase(cycle uint64) {
 			t.unace[s][tid] = 0
 		}
 	}
-	if o, ok := t.sink.(RebaseObserver); ok {
-		o.Rebase(cycle)
+	for _, k := range t.Sinks {
+		if o, ok := k.(RebaseObserver); ok {
+			o.Rebase(cycle)
+		}
 	}
 }

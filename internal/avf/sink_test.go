@@ -21,34 +21,29 @@ type rebaseBlindSink struct{ intervals int }
 
 func (p *rebaseBlindSink) Interval(Struct, int, uint64, uint64, uint64, bool) { p.intervals++ }
 
-// TestAddSinkTees pins the fan-out contract the CPI-stack observer
-// relies on: AddSink alone behaves like SetSink, AddSink on top of an
-// existing sink delivers every interval and rebase to both, and a child
-// without RebaseObserver is skipped rather than crashed into.
-func TestAddSinkTees(t *testing.T) {
+// TestSinksFanOut pins the fan-out contract the observers rely on: every
+// sink in Tracker.Sinks receives every interval and every rebase, clipped
+// identically, and a sink without RebaseObserver is skipped rather than
+// crashed into.
+func TestSinksFanOut(t *testing.T) {
 	var bits [NumStructs]uint64
 	bits[IQ] = 100
 	trk := NewTracker(1, bits)
 
-	first := &recSink{}
-	trk.AddSink(first) // no existing sink: plain attach
+	first, second := &recSink{}, &recSink{}
+	trk.Sinks = append(trk.Sinks, first)
 	trk.AddInterval(IQ, 0, 10, 0, 5, true)
-	if first.intervals != 1 || first.bitCycles != 50 {
-		t.Fatalf("single sink saw %d intervals / %d bit-cycles", first.intervals, first.bitCycles)
-	}
-
-	second := &recSink{}
-	trk.AddSink(second) // tee on top
+	trk.Sinks = append(trk.Sinks, second)
 	trk.AddInterval(IQ, 0, 10, 5, 10, false)
-	if first.intervals != 2 || second.intervals != 1 {
-		t.Fatalf("tee delivery: first saw %d, second saw %d", first.intervals, second.intervals)
+	if first.intervals != 2 || first.bitCycles != 100 {
+		t.Fatalf("first sink saw %d intervals / %d bit-cycles", first.intervals, first.bitCycles)
 	}
-	if second.bitCycles != 50 {
-		t.Fatalf("second sink bit-cycles %d, want 50", second.bitCycles)
+	if second.intervals != 1 || second.bitCycles != 50 {
+		t.Fatalf("second sink saw %d intervals / %d bit-cycles", second.intervals, second.bitCycles)
 	}
 
-	// Rebase reaches both children, and the tracker clips later
-	// intervals identically for both.
+	// Rebase reaches both, and the tracker clips later intervals
+	// identically for both.
 	trk.Rebase(20)
 	for _, s := range []*recSink{first, second} {
 		if len(s.rebases) != 1 || s.rebases[0] != 20 {
@@ -60,16 +55,16 @@ func TestAddSinkTees(t *testing.T) {
 		t.Fatalf("clipped interval delivery: %d / %d", first.bitCycles, second.bitCycles)
 	}
 
-	// A third, rebase-blind sink joins; rebasing must not panic and the
-	// observers still hear it.
+	// A rebase-blind sink joins; rebasing must not panic and the others
+	// still hear it.
 	blind := &rebaseBlindSink{}
-	trk.AddSink(blind)
+	trk.Sinks = append(trk.Sinks, blind)
 	trk.Rebase(30)
 	if len(first.rebases) != 2 || len(second.rebases) != 2 {
-		t.Fatalf("nested tee dropped a rebase: %v / %v", first.rebases, second.rebases)
+		t.Fatalf("a rebase was dropped: %v / %v", first.rebases, second.rebases)
 	}
 	trk.AddInterval(IQ, 0, 1, 30, 31, true)
 	if blind.intervals != 1 || first.intervals != 4 || second.intervals != 3 {
-		t.Fatalf("nested tee delivery: %d / %d / %d", first.intervals, second.intervals, blind.intervals)
+		t.Fatalf("fan-out delivery: %d / %d / %d", first.intervals, second.intervals, blind.intervals)
 	}
 }

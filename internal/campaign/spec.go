@@ -9,9 +9,7 @@
 // core.Config override), the execution shape (instruction budget, warmup,
 // shards), and at most one experiment kind beyond the plain run:
 // fault-injection cross-validation, a fault-propagation atlas, or the
-// CPI-stack explainability study. The per-kind experiments.*Spec types it
-// replaces remain as deprecated adapters; docs/api.md maps their fields
-// onto Spec.
+// CPI-stack explainability study.
 //
 // The package also carries the campaign job service behind cmd/avfd: a
 // Matrix fans one base Spec out into points, a Service executes points on

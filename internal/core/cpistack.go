@@ -19,29 +19,10 @@ type cpiPrev struct {
 	fetched   uint64
 }
 
-// SetCPIStack attaches the CPI-stack/occupancy observer: the per-cycle
-// attribution pass runs while it is set, uop residencies feed it at the
-// same classification sites as the AVF tracker, and register-file
-// intervals reach it through the tracker's sink (AddSink — call after any
-// AttachSink so both observers see the stream). Call before Run; nil
-// detaches.
-func (p *Processor) SetCPIStack(o *cpistack.Observer) {
-	p.cpi = o
-	p.refreshObservers()
-	if o == nil {
-		p.cpiComps = nil
-		p.cpiPrev = nil
-		return
-	}
-	o.Configure(p.cfg.Bits, StructBits(p.cfg), p.cfg.Threads, p.now)
-	p.trk.AddSink(o)
-	p.cpiComps = make([]cpistack.Component, p.cfg.Threads)
-	p.cpiPrev = make([]cpiPrev, p.cfg.Threads)
-}
-
 // cpiAccount attributes the cycle that just executed to one stack
-// component per thread. It runs at the end of step() — after every stage
-// has acted — so the counters it diffs reflect this cycle's outcome. The
+// component per thread and hands the attribution to every CycleObserver;
+// step() runs it only while one is attached, after every stage has
+// acted, so the counters it diffs reflect this cycle's outcome. The
 // rule is a priority chain from the commit end backwards, which is what
 // makes the components sum to the cycle count: exactly one clause fires.
 //
@@ -87,7 +68,9 @@ func (p *Processor) cpiAccount() {
 		prev.rename = t.renameStalls
 		prev.fetched = t.fetched
 	}
-	p.cpi.Tick(p.now, p.cpiComps)
+	for _, o := range p.cycleObs {
+		o.Tick(p.now, p.cpiComps)
+	}
 }
 
 // cpiStall classifies a runnable, non-committing thread — clauses 3-10 of

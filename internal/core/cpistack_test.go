@@ -5,9 +5,12 @@ import (
 
 	"smtavf/internal/avf"
 	"smtavf/internal/cpistack"
+	"smtavf/internal/inject"
 )
 
-func runWithCPIStack(t *testing.T, warmup uint64, opt cpistack.Options, total uint64) (*Processor, *cpistack.Observer, *Results) {
+// runWithCPIStack runs mcf+gcc with a CPI-stack observer attached first
+// and any extra observers after it.
+func runWithCPIStack(t *testing.T, warmup uint64, opt cpistack.Options, total uint64, extra ...any) (*Processor, *cpistack.Observer, *Results) {
 	t.Helper()
 	cfg := DefaultConfig(2)
 	cfg.Warmup = warmup
@@ -16,7 +19,8 @@ func runWithCPIStack(t *testing.T, warmup uint64, opt cpistack.Options, total ui
 		t.Fatal(err)
 	}
 	o := cpistack.New(opt)
-	proc.SetCPIStack(o)
+	proc.Attach(o)
+	proc.Attach(extra...)
 	res, err := proc.Run(Limits{TotalInstructions: total})
 	if err != nil {
 		t.Fatal(err)
@@ -73,17 +77,29 @@ func TestCPIStackSumsToCycles(t *testing.T) {
 // occupancy-by-fate decomposition replays the tracker's clipped-interval
 // arithmetic (uop residencies at the classification sites, register-file
 // intervals through the tracker's sink), so per-structure sums match the
-// tracker's ACE and occupied bit-cycle totals bit for bit.
+// tracker's ACE and occupied bit-cycle totals bit for bit — also when the
+// observer is attached before a fault campaign that shares the sink
+// stream.
 func TestCPIStackOccupancyMatchesTracker(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		warmup uint64
+		name     string
+		warmup   uint64
+		campaign bool
 	}{
-		{"cold", 0},
-		{"with-warmup", 5_000},
+		{"cold", 0, false},
+		{"with-warmup", 5_000, false},
+		{"cpistack attached before the fault campaign", 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			proc, o, _ := runWithCPIStack(t, tc.warmup, cpistack.Options{WindowCycles: 2048}, 20_000)
+			var extra []any
+			if tc.campaign {
+				camp, err := inject.NewCampaign(StructBits(DefaultConfig(2)), 64, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				extra = append(extra, camp)
+			}
+			proc, o, _ := runWithCPIStack(t, tc.warmup, cpistack.Options{WindowCycles: 2048}, 20_000, extra...)
 			trk := proc.Tracker()
 			for _, s := range cpistack.OccupancyStructs() {
 				if got, want := o.ACEBitCycles(s), trk.ACEBitCycles(s); got != want {
@@ -117,7 +133,7 @@ func TestCPIStackDetachedRunIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if attach {
-			proc.SetCPIStack(cpistack.New(cpistack.Options{}))
+			proc.Attach(cpistack.New(cpistack.Options{}))
 		}
 		res, err := proc.Run(Limits{TotalInstructions: 10_000})
 		if err != nil {

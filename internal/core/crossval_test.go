@@ -23,7 +23,7 @@ func runCrossVal(t *testing.T, warmup uint64, prot ProtectionModes) (*crossval.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc.AttachSink(camp)
+	proc.Attach(camp)
 	res, err := proc.Run(Limits{TotalInstructions: 20_000})
 	if err != nil {
 		t.Fatal(err)

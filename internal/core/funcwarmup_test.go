@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"smtavf/internal/inject"
 	"smtavf/internal/telemetry"
 )
 
@@ -114,9 +115,19 @@ func TestFunctionalWarmupErrors(t *testing.T) {
 	}
 
 	proc = warmProc(t, cfg, []string{"gcc"})
-	proc.SetTelemetry(telemetry.New(telemetry.Options{}))
+	proc.Attach(telemetry.New(telemetry.Options{}))
 	if err := proc.FunctionalWarmup([]uint64{10}, 0); err == nil {
 		t.Error("FunctionalWarmup with telemetry attached accepted")
+	}
+
+	proc = warmProc(t, cfg, []string{"gcc"})
+	camp, err := inject.NewCampaign(StructBits(cfg), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc.Attach(camp)
+	if err := proc.FunctionalWarmup([]uint64{10}, 0); err == nil {
+		t.Error("FunctionalWarmup with a fault campaign attached accepted")
 	}
 }
 

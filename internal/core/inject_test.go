@@ -27,7 +27,7 @@ func TestFaultInjectionCrossValidatesAVF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc.AttachSink(camp)
+	proc.Attach(camp)
 	res, err := proc.Run(Limits{TotalInstructions: 20_000})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestFaultInjectionSparseSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc.AttachSink(camp)
+	proc.Attach(camp)
 	res, err := proc.Run(Limits{TotalInstructions: 20_000})
 	if err != nil {
 		t.Fatal(err)

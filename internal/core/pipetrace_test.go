@@ -19,7 +19,7 @@ func runWithPipeTrace(t *testing.T, warmup uint64, opt pipetrace.Options, total 
 		t.Fatal(err)
 	}
 	rec := pipetrace.New(opt)
-	proc.SetPipeTrace(rec)
+	proc.Attach(rec)
 	if _, err := proc.Run(Limits{TotalInstructions: total}); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPipetraceDetachedRunIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if attach {
-			proc.SetPipeTrace(pipetrace.New(pipetrace.Options{}))
+			proc.Attach(pipetrace.New(pipetrace.Options{}))
 		}
 		res, err := proc.Run(Limits{TotalInstructions: 10_000})
 		if err != nil {

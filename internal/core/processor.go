@@ -9,9 +9,6 @@ import (
 	"smtavf/internal/fetch"
 	"smtavf/internal/mem"
 	"smtavf/internal/pipeline"
-	"smtavf/internal/pipetrace"
-	"smtavf/internal/propagation"
-	"smtavf/internal/telemetry"
 	"smtavf/internal/trace"
 )
 
@@ -68,11 +65,12 @@ type Processor struct {
 	lastCommitCycle uint64
 	totalQuota      uint64
 
-	// Phase sampling state (Config.PhaseInterval).
-	phases      []Phase
-	phaseCycle  uint64
-	phaseCommit uint64
-	phaseACE    [avf.NumStructs]uint64
+	// Cycle-windowed series (sampler.go): Config.PhaseInterval phases
+	// and one telemetry series per WindowObserver, all closed from the
+	// one nextSample check in Run.
+	samplers   []*sampler
+	nextSample uint64
+	phases     []Phase
 
 	// Measurement window (Config.Warmup rebases these).
 	measureStart  uint64
@@ -81,30 +79,14 @@ type Processor struct {
 	warmThread    []ThreadStats
 	warmCounters  MachineCounters
 
-	// Telemetry (SetTelemetry). tel is nil when disabled; the live
-	// registry handles below are nil-receiver no-ops then.
-	tel          *telemetry.Collector
-	telBase      telemetrySnap
-	telNext      uint64
-	telIndex     int
-	telCycle     *telemetry.Gauge
-	telCommitted *telemetry.Counter
-	telFlushes   *telemetry.Counter
-	telSquashed  *telemetry.Counter
-
-	// Pipeline flight recorder (SetPipeTrace). nil when detached; every
-	// Record call below is then a nil-receiver no-op.
-	rec *pipetrace.Recorder
-
-	// Fault-propagation tracer (SetPropagation). nil when detached; fed
-	// at the same sites as the flight recorder.
-	prop *propagation.Tracer
-
-	// CPI-stack observer (SetCPIStack). nil when detached: the per-cycle
-	// attribution pass is skipped entirely and the Record hooks are
-	// nil-receiver no-ops. cpiComps is per-cycle scratch, cpiPrev the
-	// per-thread counter snapshots the attribution diffs against.
-	cpi      *cpistack.Observer
+	// Attached observers (observer.go), sorted by hook; interval sinks
+	// live on the tracker. cpiComps is the per-cycle scratch the CPI-stack
+	// attribution hands the cycle observers, cpiPrev the per-thread
+	// counter snapshots it diffs against.
+	attached int
+	retire   []RetireObserver
+	cycleObs []CycleObserver
+	rebasers []avf.RebaseObserver
 	cpiComps []cpistack.Component
 	cpiPrev  []cpiPrev
 
@@ -117,11 +99,9 @@ type Processor struct {
 	issueBuf    []pipeline.UID
 	flushBuf    []pipeline.UID
 
-	// anyObs is set while a pipetrace/propagation/cpistack observer is
-	// attached; only then do the classification sites materialize pool
-	// slots into the observer-facing obsUop scratch (the side-table rule
-	// of docs/performance.md).
-	anyObs bool
+	// obsUop is the observer-facing view a classification site
+	// materializes a pool slot into, only while a retire observer is
+	// attached (the side-table rule of docs/performance.md).
 	obsUop pipeline.Uop
 }
 
@@ -221,6 +201,9 @@ func NewFromSources(cfg Config, srcs []Source) (*Processor, error) {
 	p.fetchOrder = make([]int, 0, cfg.Threads)
 	p.issueBuf = make([]pipeline.UID, 0, cfg.IQSize)
 	p.flushBuf = make([]pipeline.UID, 0, cfg.Threads)
+	if cfg.PhaseInterval > 0 {
+		p.samplers = append(p.samplers, p.phaseSampler())
+	}
 	return p, nil
 }
 
@@ -299,9 +282,7 @@ func (p *Processor) Run(lim Limits) (*Results, error) {
 		return nil
 	}
 
-	if p.tel != nil {
-		p.telemetryStart()
-	}
+	p.arm(p.cfg.Warmup > 0)
 
 	if p.cfg.Warmup > 0 {
 		if lim.PerThread != nil {
@@ -312,8 +293,8 @@ func (p *Processor) Run(lim Limits) (*Results, error) {
 				return nil, fmt.Errorf("during warmup: %w", err)
 			}
 			p.step()
-			if p.tel != nil && p.now >= p.telNext {
-				p.telemetryRoll(false)
+			if p.now >= p.nextSample {
+				p.roll(false, false)
 			}
 		}
 		p.rebaseMeasurement()
@@ -324,23 +305,15 @@ func (p *Processor) Run(lim Limits) (*Results, error) {
 			return nil, err
 		}
 		p.step()
-		if iv := p.cfg.PhaseInterval; iv > 0 && p.now-p.phaseCycle >= iv {
-			p.samplePhase()
-		}
-		if p.tel != nil && p.now >= p.telNext {
-			p.telemetryRoll(false)
+		if p.now >= p.nextSample {
+			p.roll(false, false)
 		}
 	}
 	p.closeAccounting(lim.PartialTail)
-	if p.cfg.PhaseInterval > 0 && p.now > p.phaseCycle {
-		p.samplePhase() // close the final partial phase
-	}
-	if p.tel != nil {
-		// The final roll runs after closeAccounting so the intervals of
-		// still-in-flight state land in the last window, keeping its
-		// cumulative AVF identical to the end-of-run report.
-		p.telemetryRoll(true)
-	}
+	// The final roll runs after closeAccounting so the intervals of
+	// still-in-flight state land in the last window, keeping its
+	// cumulative AVF identical to the end-of-run report.
+	p.roll(true, true)
 	return p.results(), nil
 }
 
@@ -348,15 +321,11 @@ func (p *Processor) Run(lim Limits) (*Results, error) {
 // the microarchitectural state (caches, predictors, in-flight pipeline)
 // stays warm.
 func (p *Processor) rebaseMeasurement() {
-	if p.tel != nil {
-		// Close the partial warmup window before the accumulators reset,
-		// so no window mixes warmup-era and measured intervals.
-		p.telemetryRoll(false)
+	p.roll(true, false) // close the partial warmup windows first
+	p.trk.Rebase(p.now) // also rebases the sinks
+	for _, o := range p.rebasers {
+		o.Rebase(p.now)
 	}
-	p.trk.Rebase(p.now) // also rebases the cpistack observer via its sink
-	p.rec.Rebase(p.now)
-	p.prop.Rebase(p.now)
-	p.cpi.Rebase(p.now) // idempotent if the sink notification already ran
 	p.measureStart = p.now
 	p.warmCommitted = p.totalCommitted
 	p.warmPerThread = make([]uint64, len(p.threads))
@@ -368,38 +337,7 @@ func (p *Processor) rebaseMeasurement() {
 		t.recentACE = 0
 	}
 	p.warmCounters = p.counters()
-	p.phaseCycle = p.now
-	p.phaseCommit = p.totalCommitted
-	p.phaseACE = [avf.NumStructs]uint64{}
-	if p.tel != nil {
-		p.tel.Rebase(p.now)
-		p.telemetryStart() // re-baseline: the tracker was just zeroed
-	}
-}
-
-// samplePhase records the IPC and per-structure AVF of the interval since
-// the previous sample.
-func (p *Processor) samplePhase() {
-	dCycles := p.now - p.phaseCycle
-	if dCycles == 0 {
-		return
-	}
-	ph := Phase{
-		Cycle:     p.now - p.measureStart, // relative to the measurement window
-		Committed: p.totalCommitted - p.phaseCommit,
-	}
-	ph.IPC = float64(ph.Committed) / float64(dCycles)
-	for s := avf.Struct(0); s < avf.NumStructs; s++ {
-		ace := p.trk.ACEBitCycles(s)
-		den := float64(p.trk.Bits(s)) * float64(dCycles)
-		if den > 0 {
-			ph.AVF[s] = float64(ace-p.phaseACE[s]) / den
-		}
-		p.phaseACE[s] = ace
-	}
-	p.phaseCycle = p.now
-	p.phaseCommit = p.totalCommitted
-	p.phases = append(p.phases, ph)
+	p.arm(false) // re-baseline: the tracker was just zeroed
 }
 
 // done reports whether the run limits are satisfied. The total-instruction
@@ -429,11 +367,10 @@ func (p *Processor) step() {
 	p.issue()
 	p.dispatch()
 	p.fetchStage()
-	if p.cpi != nil {
+	if len(p.cycleObs) > 0 {
 		p.cpiAccount()
 	}
 	p.now++
-	p.telCycle.SetUint(p.now) // nil-receiver no-op when telemetry is off
 }
 
 // Now returns the current cycle.
@@ -441,36 +378,6 @@ func (p *Processor) Now() uint64 { return p.now }
 
 // Tracker exposes the AVF tracker (tests and diagnostics).
 func (p *Processor) Tracker() *avf.Tracker { return p.trk }
-
-// AttachSink registers a positioned-interval observer (e.g. a fault
-// injection campaign) on the AVF tracker. Call before Run.
-func (p *Processor) AttachSink(s avf.Sink) { p.trk.SetSink(s) }
-
-// SetPipeTrace attaches a pipeline flight recorder; every uop leaving the
-// machine is reported to it at the same three sites that feed the AVF
-// tracker, so the recorder's provenance totals reconcile with the
-// tracker's bit-cycle counts exactly. Call before Run; nil detaches.
-func (p *Processor) SetPipeTrace(r *pipetrace.Recorder) {
-	p.rec = r
-	r.SetBits(p.cfg.Bits)
-	p.refreshObservers()
-}
-
-// refreshObservers recomputes the any-observer-attached flag after a
-// Set* call; the classification sites skip materialization while clear.
-func (p *Processor) refreshObservers() {
-	p.anyObs = p.rec != nil || p.prop != nil || p.cpi != nil
-}
-
-// SetPropagation attaches a fault-propagation tracer; it observes the
-// same commit/squash/end-of-run population the flight recorder and the
-// AVF tracker see, so offline strike traces resolve victims against
-// exactly the accounted state. Call before Run; nil detaches.
-func (p *Processor) SetPropagation(t *propagation.Tracer) {
-	p.prop = t
-	t.Configure(p.cfg.Bits, p.cfg.DL1, p.cfg.Threads)
-	p.refreshObservers()
-}
 
 // closeAccounting finalizes every open residency interval at the end of a
 // run: in-flight uops are classified with the fate they were heading for
@@ -514,18 +421,4 @@ func (p *Processor) classifyUop(u pipeline.UID, squashed bool) {
 	} else {
 		p.pool.ClassifyBatch(p.trk, p.cfg.Bits, u, squashed)
 	}
-}
-
-// recordObservers materializes slot u into the observer-facing scratch
-// view and reports it to every attached observer at a classification site.
-// When nothing is attached the pool slot is never materialized — the
-// side-table rule that keeps the bare hot loop free of struct traffic.
-func (p *Processor) recordObservers(u pipeline.UID, squashed bool) {
-	if !p.anyObs {
-		return
-	}
-	p.pool.Materialize(u, &p.obsUop)
-	p.rec.Record(&p.obsUop, p.now, squashed)
-	p.prop.Record(&p.obsUop, p.now, squashed)
-	p.cpi.Record(&p.obsUop, squashed)
 }

@@ -63,7 +63,7 @@ func TestResidencyObserverAttachedMidRun(t *testing.T) {
 		beforeACE[s] = trk.ACEBitCycles(s)
 	}
 	rec := pipetrace.New(pipetrace.Options{})
-	proc.SetPipeTrace(rec)
+	proc.Attach(rec)
 	for i := 0; i < 5_000; i++ {
 		proc.step()
 	}

@@ -19,7 +19,7 @@ func runWithTelemetry(t *testing.T, warmup uint64, window uint64, total uint64) 
 		t.Fatal(err)
 	}
 	col := telemetry.New(telemetry.Options{WindowCycles: window})
-	proc.SetTelemetry(col)
+	proc.Attach(col)
 	res, err := proc.Run(Limits{TotalInstructions: total})
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +148,8 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No SetTelemetry: the nil registry handles must not panic anywhere
-	// on the hot path, and results must be identical to a telemetry run.
+	// No collector attached: nothing may panic on the hot path, and
+	// results must be identical to a telemetry run.
 	res, err := proc.Run(Limits{TotalInstructions: 10_000})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc2.SetTelemetry(telemetry.New(telemetry.Options{WindowCycles: 1_000}))
+	proc2.Attach(telemetry.New(telemetry.Options{WindowCycles: 1_000}))
 	res2, err := proc2.Run(Limits{TotalInstructions: 10_000})
 	if err != nil {
 		t.Fatal(err)

@@ -27,8 +27,8 @@ import (
 // distance widens the error bound; see docs/sharding.md.
 //
 // FunctionalWarmup must be called on a fresh processor, before Run, and is
-// incompatible with attached telemetry, pipe tracing, and Config.Warmup
-// (the shard plan owns the warmup split).
+// incompatible with attached observers and Config.Warmup (the shard plan
+// owns the warmup split).
 func (p *Processor) FunctionalWarmup(skip []uint64, window uint64) error {
 	if len(skip) != len(p.threads) {
 		return fmt.Errorf("core: %d warmup skips for %d threads", len(skip), len(p.threads))
@@ -36,8 +36,8 @@ func (p *Processor) FunctionalWarmup(skip []uint64, window uint64) error {
 	if p.now != 0 || p.totalCommitted != 0 {
 		return fmt.Errorf("core: FunctionalWarmup must precede Run (cycle %d)", p.now)
 	}
-	if p.tel != nil || p.rec != nil {
-		return fmt.Errorf("core: FunctionalWarmup is incompatible with telemetry/pipetrace")
+	if p.attached > 0 {
+		return fmt.Errorf("core: FunctionalWarmup is incompatible with attached observers")
 	}
 	if p.cfg.Warmup > 0 {
 		return fmt.Errorf("core: FunctionalWarmup cannot be combined with Config.Warmup")

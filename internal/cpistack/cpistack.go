@@ -113,7 +113,7 @@ type Options struct {
 }
 
 // Observer accumulates the per-thread CPI stack and the occupancy-by-fate
-// series. Attach with core.Processor.SetCPIStack (or the facade's
+// series. Attach with core.Processor.Attach (or the facade's
 // WithCPIStack); all methods are nil-receiver no-ops so a detached
 // observer costs nothing.
 //
@@ -160,7 +160,7 @@ func New(o Options) *Observer {
 // Configure binds the observer to a machine: per-entry bit widths for the
 // residency split, structure capacities for the occupancy denominators,
 // the thread count, and the cycle accounting starts at. The processor
-// calls it from SetCPIStack.
+// calls it from Attach.
 func (o *Observer) Configure(bits pipeline.Bits, caps [avf.NumStructs]uint64, threads int, start uint64) {
 	if o == nil {
 		return
@@ -213,10 +213,11 @@ func (o *Observer) Tick(now uint64, comps []Component) {
 }
 
 // Record accounts a classified uop's structure residencies, split across
-// windows by fate. It is fed at the same commit/squash/end-of-run sites as
-// the AVF tracker and uses the tracker's clipped-interval arithmetic, so
-// the per-fate sums reconcile with the tracker bit for bit.
-func (o *Observer) Record(u *pipeline.Uop, squashed bool) {
+// windows by fate; the retire cycle is not needed, the residencies carry
+// their own positions. It is fed at the same commit/squash/end-of-run
+// sites as the AVF tracker and uses the tracker's clipped-interval
+// arithmetic, so the per-fate sums reconcile with the tracker bit for bit.
+func (o *Observer) Record(u *pipeline.Uop, _ uint64, squashed bool) {
 	if o == nil {
 		return
 	}
@@ -245,10 +246,8 @@ func (o *Observer) Interval(s avf.Struct, tid int, bits, start, end uint64, ace 
 }
 
 // Rebase drops all warmup-era accounting and restarts the windows at
-// cycle, mirroring the tracker's rebase (avf.RebaseObserver). The
-// processor calls it at the end of warmup; the tracker's sink notification
-// arrives too, and a second call with the same cycle is a no-op by
-// construction.
+// cycle, mirroring the tracker's rebase (avf.RebaseObserver): the tracker
+// calls it at the end of warmup, as it does for every sink.
 func (o *Observer) Rebase(cycle uint64) {
 	if o == nil {
 		return

@@ -28,7 +28,7 @@ func TestNilObserverIsNoOp(t *testing.T) {
 	var o *Observer
 	o.Configure(pipeline.DefaultBits(), [avf.NumStructs]uint64{}, 2, 0)
 	o.Tick(0, []Component{CompBase, CompIdle})
-	o.Record(&pipeline.Uop{}, false)
+	o.Record(&pipeline.Uop{}, 0, false)
 	o.Interval(avf.Reg, 0, 64, 0, 10, true)
 	o.Rebase(5)
 	o.PublishTelemetry(nil)
@@ -97,7 +97,7 @@ func TestSpanSplitsAcrossWindows(t *testing.T) {
 func TestRecordUsesFateAndClipsAtRebase(t *testing.T) {
 	o := testObserver(10)
 	u := &pipeline.Uop{Instruction: isa.Instruction{Class: isa.IntALU}, EnterIQ: 2, IQCycles: 6}
-	o.Record(u, false) // committed fate
+	o.Record(u, 0, false) // committed fate
 	if got := o.ACEBitCycles(avf.IQ); got != 80*6 {
 		t.Fatalf("IQ ACE bit-cycles %d, want %d", got, 80*6)
 	}
@@ -108,7 +108,7 @@ func TestRecordUsesFateAndClipsAtRebase(t *testing.T) {
 	// An interval straddling the rebase point is clipped to the measured
 	// side, exactly like avf.Tracker.AddInterval.
 	u2 := &pipeline.Uop{Instruction: isa.Instruction{Class: isa.IntALU}, EnterIQ: 6, IQCycles: 8} // [6, 14) -> [10, 14)
-	o.Record(u2, true)                                                                            // squashed fate, un-ACE
+	o.Record(u2, 0, true)                                                                         // squashed fate, un-ACE
 	if got := o.FateBitCycles(avf.IQ, avf.FateSquashed); got != 80*4 {
 		t.Fatalf("clipped squashed bit-cycles %d, want %d", got, 80*4)
 	}
@@ -125,7 +125,7 @@ func fillObserver(t *testing.T) *Observer {
 		o.Tick(cyc, comps)
 	}
 	o.Interval(avf.Reg, 0, 64, 0, 25, true)
-	o.Record(&pipeline.Uop{Instruction: isa.Instruction{Class: isa.IntALU}, EnterIQ: 3, IQCycles: 12, EnterROB: 3, ROBCycles: 14}, false)
+	o.Record(&pipeline.Uop{Instruction: isa.Instruction{Class: isa.IntALU}, EnterIQ: 3, IQCycles: 12, EnterROB: 3, ROBCycles: 14}, 0, false)
 	return o
 }
 

@@ -13,9 +13,8 @@ import (
 	"smtavf/internal/shard"
 )
 
-// defaults exposes the runner's options as the spec-resolution fallbacks,
-// so a campaign.Spec run through the runner behaves exactly like the
-// per-kind methods it replaced.
+// defaults exposes the runner's options as the spec-resolution fallbacks
+// of a campaign.Spec run through the runner.
 func (r *Runner) defaults() campaign.Defaults {
 	return campaign.Defaults{
 		Seed:      r.opts.Seed,
@@ -110,7 +109,7 @@ func (r *Runner) campaignRun(spec campaign.Spec) (*campaign.Result, error) {
 			return nil, err
 		}
 		camp.SetProtection(rv.Protection.Detections())
-		proc.AttachSink(camp)
+		proc.Attach(camp)
 	}
 	res, err := proc.Run(core.Limits{TotalInstructions: rv.Quota})
 	if err != nil {
@@ -135,8 +134,7 @@ func (r *Runner) campaignRun(spec campaign.Spec) (*campaign.Result, error) {
 // campaignCrossVal runs the seed fanout concurrently (one simulation +
 // campaign per seed) and pools the per-seed agreement reports into one.
 // Each fanout seed seeds both the simulation and its campaign (unless
-// Inject.Seed pins the campaign seed), exactly as the deprecated
-// Runner.CrossVal did.
+// Inject.Seed pins the campaign seed).
 func (r *Runner) campaignCrossVal(spec campaign.Spec) (*campaign.Result, error) {
 	rv0, err := spec.Resolve(r.defaults())
 	if err != nil {
@@ -190,7 +188,7 @@ func (r *Runner) campaignCrossValSeed(rv *campaign.Resolved) (*crossval.Report, 
 	if err != nil {
 		return nil, err
 	}
-	proc.AttachSink(camp)
+	proc.Attach(camp)
 	res, err := proc.Run(core.Limits{TotalInstructions: rv.Quota})
 	if err != nil {
 		return nil, err
@@ -229,9 +227,8 @@ func (r *Runner) campaignPropagation(spec campaign.Spec) (*campaign.Result, erro
 	if err != nil {
 		return nil, err
 	}
-	proc.AttachSink(camp)
 	tracer := propagation.New(spec.Propagation.Options)
-	proc.SetPropagation(tracer)
+	proc.Attach(camp, tracer)
 	res, err := proc.Run(core.Limits{TotalInstructions: rv.Quota})
 	if err != nil {
 		return nil, fmt.Errorf("propagation run %s: %w", title, err)
@@ -252,7 +249,7 @@ func (r *Runner) campaignPropagation(spec campaign.Spec) (*campaign.Result, erro
 // campaignExplain runs the workload once per policy with the CPI-stack
 // observer attached and distills the runs into the explainability figure
 // family. Each policy re-resolves the spec so the Configure hook sees the
-// final per-policy configuration, as the deprecated Runner.Explain did.
+// final per-policy configuration.
 func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 	rv0, err := spec.Resolve(r.defaults())
 	if err != nil {
@@ -279,7 +276,7 @@ func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 			return nil, err
 		}
 		obs := cpistack.New(cpistack.Options{WindowCycles: window})
-		proc.SetCPIStack(obs)
+		proc.Attach(obs)
 		res, err := proc.Run(core.Limits{TotalInstructions: rv.Quota})
 		if err != nil {
 			return nil, fmt.Errorf("explain run %s under %s: %w", rv0.Title, policy, err)

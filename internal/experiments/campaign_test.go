@@ -1,107 +1,16 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
-	"smtavf/internal/avf"
 	"smtavf/internal/campaign"
-	"smtavf/internal/core"
 	"smtavf/internal/inject"
 )
 
-// adapterOpts keeps the adapter runs fast; the comparison only needs the
-// two paths to agree, not to converge.
-func adapterOpts() Options {
+// quickOpts keeps the campaign runs fast; the comparisons only need
+// the paths to agree, not to converge.
+func quickOpts() Options {
 	return Options{Base: 4000, Seed: 3}
-}
-
-// TestSpecAdaptersMatch pins the deprecated per-kind specs to the unified
-// campaign.Spec path: each old entry point must produce bit-identical
-// results to Runner.Campaign over the adapter conversion (the same
-// guarantee TestNewMatchesDeprecatedConstructors gives the facade
-// constructors).
-func TestSpecAdaptersMatch(t *testing.T) {
-	var protection core.ProtectionModes
-	protection[avf.IQ] = core.ProtectECC
-
-	t.Run("crossval", func(t *testing.T) {
-		spec := CrossValSpec{
-			Benchmarks: []string{"gcc", "mcf"},
-			Policy:     "STALL",
-			Seeds:      []uint64{1, 2},
-			Every:      4,
-			Stop:       inject.Stop{MaxStrikes: 200},
-			Protection: protection,
-		}
-		pooled, perSeed, err := NewRunner(adapterOpts()).CrossVal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := NewRunner(adapterOpts()).Campaign(spec.Campaign())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(pooled, res.CrossVal) {
-			t.Errorf("pooled reports diverge:\n old %+v\n new %+v", pooled, res.CrossVal)
-		}
-		if !reflect.DeepEqual(perSeed, res.CrossValSeeds) {
-			t.Errorf("per-seed reports diverge")
-		}
-		if res.Kind != campaign.KindCrossVal {
-			t.Errorf("kind = %s", res.Kind)
-		}
-	})
-
-	t.Run("propagation", func(t *testing.T) {
-		spec := PropagationSpec{
-			Benchmarks: []string{"gcc", "mcf"},
-			Policy:     "FLUSH",
-			Seed:       5,
-			Strikes:    32,
-			Protection: protection,
-		}
-		atlas, title, err := NewRunner(adapterOpts()).Propagation(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := NewRunner(adapterOpts()).Campaign(spec.Campaign())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if title != res.Title {
-			t.Errorf("title %q != %q", title, res.Title)
-		}
-		if !reflect.DeepEqual(atlas, res.Atlas) {
-			t.Errorf("atlases diverge: old %d/%d strikes, new %d/%d",
-				atlas.Strikes, atlas.Resolved, res.Atlas.Strikes, res.Atlas.Resolved)
-		}
-		if res.Propagation == nil || res.Propagation.Strikes != atlas.Strikes {
-			t.Errorf("wire summary = %+v", res.Propagation)
-		}
-	})
-
-	t.Run("explain", func(t *testing.T) {
-		spec := ExplainSpec{
-			Benchmarks: []string{"gcc", "mcf"},
-			Policies:   []string{"ICOUNT", "STALL"},
-			Window:     2048,
-		}
-		tables, title, err := NewRunner(adapterOpts()).Explain(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := NewRunner(adapterOpts()).Campaign(spec.Campaign())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if title != res.Title {
-			t.Errorf("title %q != %q", title, res.Title)
-		}
-		if !reflect.DeepEqual(tables, TablesFromCampaign(res.Tables)) {
-			t.Errorf("tables diverge: %d vs %d", len(tables), len(res.Tables))
-		}
-	})
 }
 
 // TestCampaignRunKinds covers the plain-run executor: monolithic vs
@@ -110,7 +19,7 @@ func TestSpecAdaptersMatch(t *testing.T) {
 func TestCampaignRunKinds(t *testing.T) {
 	base := campaign.Spec{Benchmarks: []string{"gcc", "mcf"}, Instructions: 40_000, Seed: 2, NoWarmup: true}
 
-	mono, err := NewRunner(adapterOpts()).Campaign(base)
+	mono, err := NewRunner(quickOpts()).Campaign(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +36,12 @@ func TestCampaignRunKinds(t *testing.T) {
 	// out of scope here, as it is for smtsim.)
 	sharded := base
 	sharded.Shards = 4
-	sh4, err := NewRunner(adapterOpts()).Campaign(sharded)
+	sh4, err := NewRunner(quickOpts()).Campaign(sharded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded.Shards = 2
-	sh2, err := NewRunner(adapterOpts()).Campaign(sharded)
+	sh2, err := NewRunner(quickOpts()).Campaign(sharded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +55,7 @@ func TestCampaignRunKinds(t *testing.T) {
 
 	injected := base
 	injected.Inject = &campaign.InjectSpec{Every: 4, Stop: inject.Stop{MaxStrikes: 100}}
-	inj, err := NewRunner(adapterOpts()).Campaign(injected)
+	inj, err := NewRunner(quickOpts()).Campaign(injected)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +71,7 @@ func TestCampaignRunKinds(t *testing.T) {
 // TestCampaignRejectsZeroQuota: a spec with no budget and a runner with
 // no budget rule must not silently run forever.
 func TestCampaignErrors(t *testing.T) {
-	r := NewRunner(adapterOpts())
+	r := NewRunner(quickOpts())
 	if _, err := r.Campaign(campaign.Spec{}); err == nil {
 		t.Error("sourceless spec ran")
 	}

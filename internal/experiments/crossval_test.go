@@ -3,19 +3,33 @@ package experiments
 import (
 	"testing"
 
+	"smtavf/internal/campaign"
 	"smtavf/internal/core"
 	"smtavf/internal/inject"
 )
 
+// crossValSpec is the campaign.Spec of a cross-validation point: a strike
+// campaign attached to each seed's run, pooled over seeds.
+func crossValSpec(benchmarks []string, seeds []uint64, stop inject.Stop, prot core.ProtectionModes) campaign.Spec {
+	return campaign.Spec{
+		V:          campaign.SpecVersion,
+		Benchmarks: benchmarks,
+		Protection: campaign.ProtectionMap(prot),
+		Inject:     &campaign.InjectSpec{Stop: stop},
+		CrossVal:   &campaign.CrossValSpec{Seeds: seeds},
+	}
+}
+
 func TestCrossValSpecValidation(t *testing.T) {
 	r := NewRunner(Options{Base: 2_000})
-	if _, _, err := r.CrossVal(CrossValSpec{}); err == nil {
+	cv := &campaign.CrossValSpec{}
+	if _, err := r.Campaign(campaign.Spec{CrossVal: cv}); err == nil {
 		t.Error("empty spec should error")
 	}
-	if _, _, err := r.CrossVal(CrossValSpec{Mix: "no-such-mix"}); err == nil {
+	if _, err := r.Campaign(campaign.Spec{Mix: "no-such-mix", CrossVal: cv}); err == nil {
 		t.Error("unknown mix should error")
 	}
-	if _, _, err := r.CrossVal(CrossValSpec{Benchmarks: []string{"gcc", "mcf"}, Policy: "NOPE"}); err == nil {
+	if _, err := r.Campaign(campaign.Spec{Benchmarks: []string{"gcc", "mcf"}, Policy: "NOPE", CrossVal: cv}); err == nil {
 		t.Error("unknown policy should error")
 	}
 }
@@ -25,14 +39,12 @@ func TestCrossValSeedFanout(t *testing.T) {
 		t.Skip("multi-seed simulation fanout")
 	}
 	r := NewRunner(Options{Base: 10_000, NoWarmup: true})
-	pooled, perSeed, err := r.CrossVal(CrossValSpec{
-		Benchmarks: []string{"gcc", "twolf"},
-		Seeds:      []uint64{1, 2, 3},
-		Stop:       inject.StopWhen(0.02, 1<<18),
-	})
+	res, err := r.Campaign(crossValSpec([]string{"gcc", "twolf"}, []uint64{1, 2, 3},
+		inject.StopWhen(0.02, 1<<18), core.ProtectionModes{}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pooled, perSeed := res.CrossVal, res.CrossValSeeds
 	if len(perSeed) != 3 {
 		t.Fatalf("perSeed = %d reports, want 3", len(perSeed))
 	}
@@ -76,17 +88,13 @@ func TestCrossValProtectionClassification(t *testing.T) {
 	var prot core.ProtectionModes
 	prot[0] = core.ProtectParity // IQ
 	r := NewRunner(Options{Base: 8_000, NoWarmup: true})
-	pooled, _, err := r.CrossVal(CrossValSpec{
-		Benchmarks: []string{"gcc", "mcf"},
-		Seeds:      []uint64{5},
-		Stop:       inject.StopWhen(0.03, 1<<18),
-		Protection: prot,
-	})
+	res, err := r.Campaign(crossValSpec([]string{"gcc", "mcf"}, []uint64{5},
+		inject.StopWhen(0.03, 1<<18), prot))
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, e := range pooled.Entries {
+	for _, e := range res.CrossVal.Entries {
 		if e.Struct == "IQ" {
 			found = true
 			if e.Protection != "parity" {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"smtavf/internal/avf"
+	"smtavf/internal/campaign"
 	"smtavf/internal/cpistack"
 )
 
@@ -14,14 +15,16 @@ import (
 // the correlation table carries well-formed coefficients.
 func TestExplainTables(t *testing.T) {
 	r := NewRunner(Options{Base: 2_000, Seed: 1})
-	ts, title, err := r.Explain(ExplainSpec{
+	res, err := r.Campaign(campaign.Spec{
+		V:          campaign.SpecVersion,
 		Benchmarks: []string{"mcf", "gcc"},
-		Policies:   []string{"ICOUNT", "FLUSH"},
+		Explain:    &campaign.ExplainSpec{Policies: []string{"ICOUNT", "FLUSH"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if title == "" {
+	ts := TablesFromCampaign(res.Tables)
+	if res.Title == "" {
 		t.Fatal("empty title")
 	}
 	// 1 stack table + one occupancy table per policy + 1 correlation table.

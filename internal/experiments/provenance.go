@@ -51,7 +51,7 @@ func (r *Runner) Provenance(mixName, policy string, top int) ([]*Table, error) {
 		return nil, err
 	}
 	rec := pipetrace.New(pipetrace.Options{})
-	proc.SetPipeTrace(rec)
+	proc.Attach(rec)
 	if _, err := proc.Run(core.Limits{TotalInstructions: r.budget(contexts)}); err != nil {
 		return nil, fmt.Errorf("provenance run %s under %s: %w", mixName, policy, err)
 	}

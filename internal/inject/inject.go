@@ -45,8 +45,9 @@ type cell struct {
 }
 
 // Campaign collects strike samples. Create with NewCampaign, attach via
-// Tracker.SetSink, run the simulation, then call Estimate/Outcomes (or
-// RunStrikes for the confidence-bounded sequential experiment).
+// core.Processor.Attach (or append it to an avf.Tracker's Sinks), run the
+// simulation, then call Estimate/Outcomes (or RunStrikes for the
+// confidence-bounded sequential experiment).
 //
 // Campaign implements avf.RebaseObserver: when the tracker rebases at the
 // end of a warmup period, the campaign drops every sample collected so

@@ -143,7 +143,7 @@ func TestRebaseMatchesTrackerThroughWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trk.SetSink(c)
+	trk.Sinks = append(trk.Sinks, c)
 
 	trk.AddInterval(avf.IQ, 0, 1000, 0, 50, true) // warmup era
 	trk.Rebase(50)

@@ -101,7 +101,7 @@ func TestClassifyBatchMatchesIntervalPath(t *testing.T) {
 	r.IssuedAt, r.FUCycles = 36, 3
 	ti, tb := testTrackerPair()
 	log := &intervalLog{}
-	ti.SetSink(log)
+	ti.Sinks = append(ti.Sinks, log)
 	classifyBoth(t, p, u, false, ti, tb)
 	want := []avf.Struct{avf.IQ, avf.ROB, avf.LSQTag, avf.LSQData, avf.FU}
 	if len(log.structs) != len(want) {

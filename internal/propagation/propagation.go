@@ -137,7 +137,7 @@ func (n *node) committed() bool {
 }
 
 // Tracer records the per-uop nodes the propagation analysis needs. Attach
-// with core.Processor.SetPropagation before Run; a nil *Tracer is a valid
+// with core.Processor.Attach before Run; a nil *Tracer is a valid
 // detached tracer (Record and Rebase are nil-receiver no-ops, the same
 // convention the pipetrace recorder and the injection campaign follow).
 //
@@ -171,7 +171,7 @@ func New(opt Options) *Tracer {
 // per-entry bit widths (victim spans use the same weights as the AVF
 // tracker), the DL1 shape (strike bit → set mapping for the shared-cache
 // contamination channel), and the thread count (contamination matrix
-// dimensions). The processor calls it from SetPropagation.
+// dimensions). The processor calls it from Attach.
 func (t *Tracer) Configure(bits pipeline.Bits, dl1 mem.Config, threads int) {
 	if t == nil {
 		return

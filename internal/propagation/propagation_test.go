@@ -41,9 +41,8 @@ func runAtlas(t *testing.T, benches []string, total uint64, every, seed uint64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc.AttachSink(camp)
 	tracer := propagation.New(opt)
-	proc.SetPropagation(tracer)
+	proc.Attach(camp, tracer)
 	res, err := proc.Run(core.Limits{TotalInstructions: total})
 	if err != nil {
 		t.Fatal(err)

@@ -20,8 +20,7 @@
 //
 // Long runs can be split into deterministic intervals and simulated in
 // parallel with WithShards; see docs/sharding.md for the accuracy
-// contract. docs/api.md maps the deprecated NewSimulator* constructors
-// onto New.
+// contract.
 package smtavf
 
 import (
@@ -146,15 +145,22 @@ type settings struct {
 	factory   shard.SourceFactory // builds one fresh set of per-thread sources
 	kind      string              // which workload option supplied the factory
 	workloads []string            // workload identifiers for the run manifest
+	observers []any               // pipeline observers, for core.Processor.Attach
+	firstObs  string              // the option that gave observers[0]
 	tel       *telemetry.Collector
-	rec       *pipetrace.Recorder
-	camp      *inject.Campaign
-	prop      *propagation.Tracer
-	cpi       *cpistack.Observer
 	obsv      *obs.Observability
 	shards    int
 	workers   int
 	window    uint64
+}
+
+// observe is the body of the pipeline-observer options; they skip a nil
+// observer, which leaves its layer detached.
+func (s *settings) observe(option string, o any) {
+	if s.firstObs == "" {
+		s.firstObs = option
+	}
+	s.observers = append(s.observers, o)
 }
 
 func (s *settings) setSource(kind string, workloads []string, f shard.SourceFactory) error {
@@ -256,7 +262,10 @@ func WithTraceFiles(paths ...string) Option {
 // has no single contiguous cycle timeline to sample.
 func WithTelemetry(c *Telemetry) Option {
 	return func(s *settings) error {
-		s.tel = c
+		if c != nil {
+			s.tel = c
+			s.observe("WithTelemetry", c)
+		}
 		return nil
 	}
 }
@@ -265,7 +274,9 @@ func WithTelemetry(c *Telemetry) Option {
 // PipeTrace). Incompatible with WithShards(n > 1).
 func WithPipeTrace(r *PipeTrace) Option {
 	return func(s *settings) error {
-		s.rec = r
+		if r != nil {
+			s.observe("WithPipeTrace", r)
+		}
 		return nil
 	}
 }
@@ -274,7 +285,9 @@ func WithPipeTrace(r *PipeTrace) Option {
 // the run (see FaultCampaign). Incompatible with WithShards(n > 1).
 func WithFaultInjection(c *FaultCampaign) Option {
 	return func(s *settings) error {
-		s.camp = c
+		if c != nil {
+			s.observe("WithFaultInjection", c)
+		}
 		return nil
 	}
 }
@@ -286,7 +299,9 @@ func WithFaultInjection(c *FaultCampaign) Option {
 // sharded run has no single dataflow timeline to trace over.
 func WithPropagation(t *PropagationTracer) Option {
 	return func(s *settings) error {
-		s.prop = t
+		if t != nil {
+			s.observe("WithPropagation", t)
+		}
 		return nil
 	}
 }
@@ -300,7 +315,9 @@ func WithPropagation(t *PropagationTracer) Option {
 // cost (BenchmarkCPIStackOverhead pins this).
 func WithCPIStack(o *CPIStack) Option {
 	return func(s *settings) error {
-		s.cpi = o
+		if o != nil {
+			s.observe("WithCPIStack", o)
+		}
 		return nil
 	}
 }
@@ -357,8 +374,7 @@ func WithShardWarmupWindow(window uint64) Option {
 // New builds a simulator for cfg. Exactly one workload option
 // (WithBenchmarks, WithPhases, WithTraceFiles) selects what runs;
 // the remaining options attach observers or split the run into parallel
-// shards. New replaces the NewSimulator* constructors — docs/api.md has
-// the migration table.
+// shards. Observers attach in any order (docs/api.md).
 func New(cfg Config, opts ...Option) (*Simulator, error) {
 	s := settings{cfg: cfg, shards: 1}
 	for _, o := range opts {
@@ -373,17 +389,8 @@ func New(cfg Config, opts ...Option) (*Simulator, error) {
 		return nil, fmt.Errorf("smtavf: no workload given; pass WithBenchmarks, WithPhases, or WithTraceFiles")
 	}
 	if s.shards > 1 {
-		switch {
-		case s.tel != nil:
-			return nil, fmt.Errorf("smtavf: WithTelemetry requires a monolithic run (WithShards(1, ...))")
-		case s.rec != nil:
-			return nil, fmt.Errorf("smtavf: WithPipeTrace requires a monolithic run (WithShards(1, ...))")
-		case s.camp != nil:
-			return nil, fmt.Errorf("smtavf: WithFaultInjection requires a monolithic run (WithShards(1, ...))")
-		case s.prop != nil:
-			return nil, fmt.Errorf("smtavf: WithPropagation requires a monolithic run (WithShards(1, ...))")
-		case s.cpi != nil:
-			return nil, fmt.Errorf("smtavf: WithCPIStack requires a monolithic run (WithShards(1, ...))")
+		if len(s.observers) > 0 {
+			return nil, fmt.Errorf("smtavf: %s requires a monolithic run (WithShards(1, ...))", s.firstObs)
 		}
 		// Fail construction-time errors here rather than from a worker
 		// goroutine mid-run: one throwaway set of sources validates the
@@ -411,54 +418,12 @@ func New(cfg Config, opts ...Option) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim := &Simulator{proc: proc, obsv: s.obsv, cfg: cfg, kind: s.kind,
-		workloads: s.workloads, shards: 1}
-	if s.tel != nil {
-		proc.SetTelemetry(s.tel)
-		if s.obsv != nil && s.obsv.Progress != nil {
-			s.tel.SetProgress(s.obsv.Progress)
-		}
+	if s.tel != nil && s.obsv != nil && s.obsv.Progress != nil {
+		s.tel.SetProgress(s.obsv.Progress)
 	}
-	if s.rec != nil {
-		proc.SetPipeTrace(s.rec)
-	}
-	if s.camp != nil {
-		proc.AttachSink(s.camp)
-	}
-	if s.prop != nil {
-		proc.SetPropagation(s.prop)
-	}
-	if s.cpi != nil {
-		// After the campaign attach: SetCPIStack joins the tracker's sink
-		// via AddSink, so the campaign and the observer share the stream.
-		proc.SetCPIStack(s.cpi)
-	}
-	return sim, nil
-}
-
-// NewSimulator builds a simulator for cfg running the named benchmarks,
-// one per hardware context (len(benchmarks) must equal cfg.Threads).
-//
-// Deprecated: Use New with WithBenchmarks; results are bit-identical.
-func NewSimulator(cfg Config, benchmarks []string) (*Simulator, error) {
-	return New(cfg, WithBenchmarks(benchmarks...))
-}
-
-// NewSimulatorPhased builds a simulator whose contexts alternate among
-// several benchmark behaviours every period instructions.
-//
-// Deprecated: Use New with WithPhases; results are bit-identical.
-func NewSimulatorPhased(cfg Config, phases [][]string, period uint64) (*Simulator, error) {
-	return New(cfg, WithPhases(phases, period))
-}
-
-// NewSimulatorFromTraceFiles builds a simulator whose contexts replay
-// recorded instruction traces (cmd/tracegen); len(paths) must equal
-// cfg.Threads.
-//
-// Deprecated: Use New with WithTraceFiles; results are bit-identical.
-func NewSimulatorFromTraceFiles(cfg Config, paths []string) (*Simulator, error) {
-	return New(cfg, WithTraceFiles(paths...))
+	proc.Attach(s.observers...)
+	return &Simulator{proc: proc, obsv: s.obsv, cfg: cfg, kind: s.kind,
+		workloads: s.workloads, shards: 1}, nil
 }
 
 // Run simulates until total instructions have committed across all threads
@@ -574,7 +539,7 @@ func (s *Simulator) markUsed() error {
 }
 
 // Telemetry is a cycle-windowed live-metrics collector: attach one with
-// Simulator.SetTelemetry and the run emits a per-window time-series of
+// WithTelemetry and the run emits a per-window time-series of
 // IPC, per-structure AVF, occupancy, and event counters — to JSONL/CSV
 // exporters, an in-memory ring buffer, and the optional debug HTTP
 // server. See docs/telemetry.md.
@@ -590,14 +555,8 @@ type TelemetryWindow = telemetry.Window
 // NewTelemetry builds a telemetry collector (default 10k-cycle windows).
 func NewTelemetry(o TelemetryOptions) *Telemetry { return telemetry.New(o) }
 
-// SetTelemetry attaches a telemetry collector to the simulator. Must be
-// called before Run; a nil collector leaves telemetry disabled. Panics on
-// a sharded simulator — pass WithTelemetry to New instead, which reports
-// the incompatibility as an error.
-func (s *Simulator) SetTelemetry(c *Telemetry) { s.mono("SetTelemetry").SetTelemetry(c) }
-
 // PipeTrace is a pipeline flight recorder: attach one with
-// Simulator.SetPipeTrace and the run records one lifecycle record per uop
+// WithPipeTrace and the run records one lifecycle record per uop
 // (fetch/dispatch/issue/writeback/retire cycles, per-structure residency,
 // ACE fate), exportable as a Kanata log, a Chrome trace_event JSON, or
 // compact JSONL, and foldable into an AVF provenance report attributing
@@ -626,11 +585,6 @@ const (
 // NewPipeTrace builds a pipeline flight recorder.
 func NewPipeTrace(o PipeTraceOptions) *PipeTrace { return pipetrace.New(o) }
 
-// SetPipeTrace attaches a flight recorder to the simulator. Must be called
-// before Run; a nil recorder leaves tracing disabled. Panics on a sharded
-// simulator — pass WithPipeTrace to New instead.
-func (s *Simulator) SetPipeTrace(r *PipeTrace) { s.mono("SetPipeTrace").SetPipeTrace(r) }
-
 // FaultCampaign is a statistical fault-injection campaign: it samples the
 // machine's state on a regular cycle grid and estimates, per structure,
 // the probability that a random particle strike corrupts the program —
@@ -639,16 +593,11 @@ type FaultCampaign = inject.Campaign
 
 // NewFaultCampaign builds a campaign for machines configured like cfg,
 // sampling every sampleEvery cycles. Attach it with
-// Simulator.InjectFaults before Run; afterwards compare
+// WithFaultInjection; after the run compare
 // campaign.Estimate(s, res.Cycles) with res.StructAVF(s).
 func NewFaultCampaign(cfg Config, sampleEvery, seed uint64) (*FaultCampaign, error) {
 	return inject.NewCampaign(core.StructBits(cfg), sampleEvery, seed)
 }
-
-// InjectFaults attaches a fault-injection campaign to the simulator. Must
-// be called before Run. Panics on a sharded simulator — pass
-// WithFaultInjection to New instead.
-func (s *Simulator) InjectFaults(c *FaultCampaign) { s.mono("InjectFaults").AttachSink(c) }
 
 // PropagationTracer records the per-uop dataflow nodes a strike-propagation
 // analysis runs over: after the run, Analyze taint-tracks each of a
@@ -674,13 +623,6 @@ type InjectStrike = inject.Strike
 
 // NewPropagation builds a fault-propagation tracer.
 func NewPropagation(o PropagationOptions) *PropagationTracer { return propagation.New(o) }
-
-// SetPropagation attaches a propagation tracer to the simulator. Must be
-// called before Run; a nil tracer leaves propagation tracing disabled.
-// Panics on a sharded simulator — pass WithPropagation to New instead.
-func (s *Simulator) SetPropagation(t *PropagationTracer) {
-	s.mono("SetPropagation").SetPropagation(t)
-}
 
 // WritePropagationTraces writes per-strike propagation traces as versioned
 // JSONL to path (.gz compresses); ReadPropagationTraces inverts it.
@@ -711,25 +653,9 @@ type CPIStackWindow = cpistack.Window
 // NewCPIStack builds an explainability observer.
 func NewCPIStack(o CPIStackOptions) *CPIStack { return cpistack.New(o) }
 
-// SetCPIStack attaches an explainability observer to the simulator. Must
-// be called before Run, and after InjectFaults when a campaign is also
-// attached; a nil observer leaves the layer detached. Panics on a sharded
-// simulator — pass WithCPIStack to New instead.
-func (s *Simulator) SetCPIStack(o *CPIStack) { s.mono("SetCPIStack").SetCPIStack(o) }
-
 // ReadCPIStackWindows reads a windowed CPI-stack/occupancy series written
 // by CPIStack.WriteFile as JSONL.
 func ReadCPIStackWindows(path string) ([]CPIStackWindow, error) { return cpistack.ReadFile(path) }
-
-// mono returns the monolithic processor or panics with a pointer at the
-// Option-based alternative; the attach methods predate sharding and have
-// no error return.
-func (s *Simulator) mono(method string) *core.Processor {
-	if s.proc == nil {
-		panic(fmt.Sprintf("smtavf: %s is not supported on a sharded Simulator; use the matching With* Option", method))
-	}
-	return s.proc
-}
 
 // InjectStats is the result of a sequential strike experiment: the
 // per-structure / per-thread strike-outcome taxonomy (masked, SDC, DUE,
