@@ -25,6 +25,7 @@ package inject
 
 import (
 	"fmt"
+	"slices"
 
 	"smtavf/internal/avf"
 	"smtavf/internal/obs"
@@ -63,7 +64,7 @@ type Campaign struct {
 	phase      uint64 // grid offset, drawn in [0, every)
 	origin     uint64 // cycle the grid is anchored at (nonzero after a rebase)
 	bits       [avf.NumStructs]uint64
-	cells      [avf.NumStructs]map[uint64]*cell // sample index -> resident state
+	cells      [avf.NumStructs][]cell // resident state, indexed by sample index
 	protection [avf.NumStructs]Detection
 	rnd        *rng.Source
 	events     uint64
@@ -93,9 +94,6 @@ func NewCampaign(bits [avf.NumStructs]uint64, every uint64, seed uint64) (*Campa
 	}
 	c := &Campaign{every: every, bits: bits, rnd: rng.New(seed)}
 	c.phase = c.rnd.Uint64n(every)
-	for s := range c.cells {
-		c.cells[s] = make(map[uint64]*cell)
-	}
 	return c, nil
 }
 
@@ -128,7 +126,7 @@ func (c *Campaign) Rebase(cycle uint64) {
 	}
 	c.origin = cycle
 	for s := range c.cells {
-		c.cells[s] = make(map[uint64]*cell)
+		c.cells[s] = c.cells[s][:0]
 	}
 }
 
@@ -155,12 +153,18 @@ func (c *Campaign) Interval(s avf.Struct, tid int, bits, start, end uint64, ace 
 	if start > c.phase {
 		idx = (start - c.phase + c.every - 1) / c.every
 	}
-	for cyc := c.phase + idx*c.every; cyc < end; cyc += c.every {
-		cl := c.cells[s][idx]
-		if cl == nil {
-			cl = &cell{}
-			c.cells[s][idx] = cl
-		}
+	last := c.Samples(end) // one past the last sample index before end
+	if idx >= last {
+		return
+	}
+	cells := c.cells[s]
+	if n := len(cells); uint64(n) < last {
+		cells = slices.Grow(cells, int(last)-n)[:last]
+		clear(cells[n:])
+		c.cells[s] = cells
+	}
+	for ; idx < last; idx++ {
+		cl := &cells[idx]
 		cl.occ += bits
 		if ace {
 			cl.ace += bits
@@ -169,8 +173,14 @@ func (c *Campaign) Interval(s avf.Struct, tid int, bits, start, end uint64, ace 
 			}
 			cl.perThread[tid] += bits
 		}
-		idx++
 	}
+}
+
+// booked returns the recorded cells of structure s among the first n
+// sample indices.
+func (c *Campaign) booked(s avf.Struct, n uint64) []cell {
+	cells := c.cells[s]
+	return cells[:min(n, uint64(len(cells)))]
 }
 
 // Samples returns the number of sample cycles within a run of 'cycles'
@@ -191,10 +201,8 @@ func (c *Campaign) Estimate(s avf.Struct, cycles uint64) float64 {
 		return 0
 	}
 	var sum uint64
-	for idx, cl := range c.cells[s] {
-		if idx < n {
-			sum += cl.ace
-		}
+	for _, cl := range c.booked(s, n) {
+		sum += cl.ace
 	}
 	return float64(sum) / (float64(n) * float64(c.bits[s]))
 }
@@ -207,10 +215,8 @@ func (c *Campaign) Occupancy(s avf.Struct, cycles uint64) float64 {
 		return 0
 	}
 	var sum uint64
-	for idx, cl := range c.cells[s] {
-		if idx < n {
-			sum += cl.occ
-		}
+	for _, cl := range c.booked(s, n) {
+		sum += cl.occ
 	}
 	return float64(sum) / (float64(n) * float64(c.bits[s]))
 }
@@ -311,8 +317,11 @@ func (c *Campaign) strike(s avf.Struct, samples uint64) Strike {
 		TID:       -1,
 		Outcome:   Masked,
 	}
-	cl := c.cells[s][idx]
-	if cl == nil || bit >= cl.ace {
+	if idx >= uint64(len(c.cells[s])) {
+		return st // no interval reached this sample: the strike is masked
+	}
+	cl := &c.cells[s][idx]
+	if bit >= cl.ace {
 		return st // idle or un-ACE state: the strike is masked
 	}
 	tid := 0

@@ -2,9 +2,11 @@ package pipetrace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
 	"smtavf/internal/avf"
 )
@@ -19,12 +21,26 @@ const (
 	stageComplete = "Cm"
 )
 
-// kanataEvent is one line of the trace body, scheduled at an absolute
-// cycle. Events at equal cycles keep emission order (stable sort), so each
-// uop's I/L/S lines stay in sequence.
+// Kanata event kinds, in the order one uop emits them. A uop's events at
+// one cycle keep this order, so its I/L/S lines stay in sequence.
+const (
+	evIntro    = iota // I: introduce the uop
+	evLabelPC         // L lane 0: PC and opcode
+	evLabelAux        // L lane 1: hover detail
+	evFetch           // S: F
+	evDispatch        // S: Ds
+	evExecute         // S: Ex
+	evComplete        // S: Cm
+	evRetire          // R: commit or flush
+	evKindBits = 3
+)
+
+// kanataEvent is one line of the trace body: the absolute cycle it is
+// scheduled at and key = uid<<evKindBits | kind. Events are built in key
+// order, so a stable sort by cycle orders them by (cycle, uid, kind).
 type kanataEvent struct {
 	cycle uint64
-	line  string
+	key   uint64
 }
 
 // WriteKanata writes records in the Kanata log format (version 0004), the
@@ -32,102 +48,225 @@ type kanataEvent struct {
 // instruction lane per uop with stage transitions F → Ds → Ex → Cm and a
 // retire line marking commit (type 0) or squash/flush (type 1). Hovering
 // an instruction in Konata shows the uop's fate and residency detail.
+//
+// It runs in time linear in len(recs) apart from two comparison sorts of
+// record indices, and allocates a fixed number of buffers however many
+// records it writes (docs/performance.md, "Observer export").
 func WriteKanata(w io.Writer, recs []Record) error {
-	order := fetchOrder(recs)
+	order := fetchOrder(recs) // order[uid] = record index
 
-	// Retire ids must be assigned in retirement order.
-	retireOrder := make([]int, len(order))
-	copy(retireOrder, order)
-	sort.SliceStable(retireOrder, func(a, b int) bool {
-		ra, rb := &recs[retireOrder[a]], &recs[retireOrder[b]]
-		if ra.Retire != rb.Retire {
-			return ra.Retire < rb.Retire
-		}
-		return ra.GSeq < rb.GSeq
-	})
-	rid := make(map[int]int, len(recs))
-	for i, j := range retireOrder {
+	// Retire ids are assigned in retirement order; rid[j] is record j's.
+	rid := make([]int, len(recs))
+	for i, j := range orderBy(recs, func(r *Record) uint64 { return r.Retire }) {
 		rid[j] = i
 	}
 
-	events := make([]kanataEvent, 0, 6*len(recs))
-	iids := map[int]int{} // per-thread instruction counter
+	n, maxTID := 0, 0
+	for i := range recs {
+		r := &recs[i]
+		if r.TID < 0 {
+			return fmt.Errorf("pipetrace: record gseq=%d has negative tid %d", r.GSeq, r.TID)
+		}
+		maxTID = max(maxTID, r.TID)
+		n += 5 // I, two L, S F, R
+		for _, reached := range [3]bool{r.Dispatch >= 0, r.Issue >= 0, showsComplete(r)} {
+			if reached {
+				n++
+			}
+		}
+	}
+	events := make([]kanataEvent, 0, n)
 	for uid, j := range order {
 		r := &recs[j]
-		iid := iids[r.TID]
-		iids[r.TID]++
+		k := uint64(uid) << evKindBits
 		events = append(events,
-			kanataEvent{r.Fetch, fmt.Sprintf("I\t%d\t%d\t%d", uid, iid, r.TID)},
-			kanataEvent{r.Fetch, fmt.Sprintf("L\t%d\t0\t0x%x %s", uid, r.PC, r.Op)},
-			kanataEvent{r.Fetch, fmt.Sprintf("L\t%d\t1\t%s", uid, kanataDetail(r))},
-			kanataEvent{r.Fetch, fmt.Sprintf("S\t%d\t0\t%s", uid, stageFetch)},
-		)
+			kanataEvent{r.Fetch, k | evIntro},
+			kanataEvent{r.Fetch, k | evLabelPC},
+			kanataEvent{r.Fetch, k | evLabelAux},
+			kanataEvent{r.Fetch, k | evFetch})
 		if r.Dispatch >= 0 {
-			events = append(events, kanataEvent{uint64(r.Dispatch),
-				fmt.Sprintf("S\t%d\t0\t%s", uid, stageDispatch)})
+			events = append(events, kanataEvent{uint64(r.Dispatch), k | evDispatch})
 		}
 		if r.Issue >= 0 {
-			events = append(events, kanataEvent{uint64(r.Issue),
-				fmt.Sprintf("S\t%d\t0\t%s", uid, stageExecute)})
+			events = append(events, kanataEvent{uint64(r.Issue), k | evExecute})
 		}
-		if r.Writeback >= 0 && uint64(r.Writeback) < r.Retire {
-			events = append(events, kanataEvent{uint64(r.Writeback),
-				fmt.Sprintf("S\t%d\t0\t%s", uid, stageComplete)})
+		if showsComplete(r) {
+			events = append(events, kanataEvent{uint64(r.Writeback), k | evComplete})
 		}
-		kind := 0 // commit
-		if !r.Committed() {
-			kind = 1 // flush
-		}
-		events = append(events, kanataEvent{r.Retire,
-			fmt.Sprintf("R\t%d\t%d\t%d", uid, rid[j], kind)})
+		events = append(events, kanataEvent{r.Retire, k | evRetire})
 	}
-	sort.SliceStable(events, func(a, b int) bool { return events[a].cycle < events[b].cycle })
+	events = sortByCycle(events)
 
+	// I lines come out in uid order (uids follow fetch cycle, and the
+	// sort keeps uid order within a cycle), so the per-thread instruction
+	// counter can be advanced as they are written.
+	iids := make([]int, maxTID+1)
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "Kanata\t0004\n")
+	line := make([]byte, 0, 256)
 	cur := uint64(0)
 	if len(events) > 0 {
 		cur = events[0].cycle
 	}
-	fmt.Fprintf(bw, "C=\t%d\n", cur)
+	line = append(line, "Kanata\t0004\nC=\t"...)
+	line = strconv.AppendUint(line, cur, 10)
+	line = append(line, '\n')
+	bw.Write(line)
 	for _, e := range events {
+		line = line[:0]
 		if e.cycle != cur {
-			fmt.Fprintf(bw, "C\t%d\n", e.cycle-cur)
+			line = append(line, "C\t"...)
+			line = strconv.AppendUint(line, e.cycle-cur, 10)
+			line = append(line, '\n')
 			cur = e.cycle
 		}
-		bw.WriteString(e.line)
-		bw.WriteByte('\n')
+		uid := e.key >> evKindBits
+		r := &recs[order[uid]]
+		switch kind := e.key & (1<<evKindBits - 1); kind {
+		case evIntro:
+			line = appendHead(line, 'I', uid)
+			line = strconv.AppendInt(line, int64(iids[r.TID]), 10)
+			iids[r.TID]++
+			line = append(line, '\t')
+			line = strconv.AppendInt(line, int64(r.TID), 10)
+		case evLabelPC:
+			line = appendHead(line, 'L', uid)
+			line = append(line, "0\t0x"...)
+			line = strconv.AppendUint(line, r.PC, 16)
+			line = append(line, ' ')
+			line = append(line, r.Op...)
+		case evLabelAux:
+			line = appendHead(line, 'L', uid)
+			line = append(line, "1\t"...)
+			line = appendKanataDetail(line, r)
+		case evRetire:
+			line = appendHead(line, 'R', uid)
+			line = strconv.AppendInt(line, int64(rid[order[uid]]), 10)
+			if r.Committed() {
+				line = append(line, "\t0"...)
+			} else {
+				line = append(line, "\t1"...)
+			}
+		default:
+			line = appendHead(line, 'S', uid)
+			line = append(line, "0\t"...)
+			line = append(line, stageNames[kind-evFetch]...)
+		}
+		line = append(line, '\n')
+		bw.Write(line)
 	}
 	return bw.Flush()
 }
 
-// kanataDetail is the hover text of one uop: identity, fate, and every
-// non-empty residency interval.
-func kanataDetail(r *Record) string {
-	s := fmt.Sprintf("tid=%d gseq=%d seq=%d fate=%s", r.TID, r.GSeq, r.Seq, r.Fate)
+// showsComplete reports whether the uop has a Cm stage: it wrote back
+// before the cycle it retired.
+func showsComplete(r *Record) bool {
+	return r.Writeback >= 0 && uint64(r.Writeback) < r.Retire
+}
+
+// stageNames maps the S event kinds, from evFetch on, to stage labels.
+var stageNames = [4]string{stageFetch, stageDispatch, stageExecute, stageComplete}
+
+// appendHead appends a line's command letter and uid, each followed by a
+// tab.
+func appendHead(b []byte, cmd byte, uid uint64) []byte {
+	b = append(b, cmd, '\t')
+	b = strconv.AppendUint(b, uid, 10)
+	return append(b, '\t')
+}
+
+// sortByCycle stably sorts events by cycle with an LSD radix sort on the
+// offset from the earliest cycle, one byte per pass, skipping bytes every
+// offset shares. It returns whichever of events and its scratch twin
+// holds the result.
+func sortByCycle(events []kanataEvent) []kanataEvent {
+	if len(events) < 2 {
+		return events
+	}
+	lo, hi := events[0].cycle, events[0].cycle
+	for _, e := range events {
+		lo, hi = min(lo, e.cycle), max(hi, e.cycle)
+	}
+	src, dst := events, make([]kanataEvent, len(events))
+	for shift := uint(0); shift < 64 && (hi-lo)>>shift != 0; shift += 8 {
+		var count [257]int
+		for _, e := range src {
+			count[((e.cycle-lo)>>shift)&0xff+1]++
+		}
+		if count[((src[0].cycle-lo)>>shift)&0xff+1] == len(src) {
+			continue // every offset shares this byte
+		}
+		for i := 1; i < len(count); i++ {
+			count[i] += count[i-1]
+		}
+		for _, e := range src {
+			d := ((e.cycle - lo) >> shift) & 0xff
+			dst[count[d]] = e
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// appendKanataDetail appends the hover text of one uop: identity, fate,
+// and every non-empty residency interval.
+func appendKanataDetail(b []byte, r *Record) []byte {
+	b = append(b, "tid="...)
+	b = strconv.AppendInt(b, int64(r.TID), 10)
+	b = append(b, " gseq="...)
+	b = strconv.AppendUint(b, r.GSeq, 10)
+	b = append(b, " seq="...)
+	b = strconv.AppendUint(b, r.Seq, 10)
+	b = append(b, " fate="...)
+	b = append(b, r.Fate.String()...)
 	names := [5]string{"iq", "rob", "lsq_tag", "lsq_data", "fu"}
 	for i, st := range RecordStructs {
 		if sp := r.Span(st); sp.Cycles > 0 {
-			s += fmt.Sprintf(" %s=[%d,%d)", names[i], sp.Start, sp.End())
+			b = append(b, ' ')
+			b = append(b, names[i]...)
+			b = append(b, "=["...)
+			b = strconv.AppendUint(b, sp.Start, 10)
+			b = append(b, ',')
+			b = strconv.AppendUint(b, sp.End(), 10)
+			b = append(b, ')')
 		}
 	}
-	return s
+	return b
 }
 
-// fetchOrder returns record indices sorted by fetch cycle (GSeq breaks
-// ties), the canonical display order of both viewers.
+// fetchOrder returns record indices sorted by fetch cycle (GSeq, then the
+// index, breaks ties), the canonical display order of both viewers.
 func fetchOrder(recs []Record) []int {
-	order := make([]int, len(recs))
-	for i := range order {
-		order[i] = i
+	return orderBy(recs, func(r *Record) uint64 { return r.Fetch })
+}
+
+// orderKey is one record's sort key, copied out of the record so the sort
+// touches a compact array instead of the records themselves.
+type orderKey struct {
+	cycle, gseq uint64
+	idx         int
+}
+
+// orderBy returns record indices sorted by cycle(record), then GSeq, then
+// index — a total order, so the unstable sort is deterministic.
+func orderBy(recs []Record, cycle func(*Record) uint64) []int {
+	keys := make([]orderKey, len(recs))
+	for i := range recs {
+		keys[i] = orderKey{cycle(&recs[i]), recs[i].GSeq, i}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := &recs[order[a]], &recs[order[b]]
-		if ra.Fetch != rb.Fetch {
-			return ra.Fetch < rb.Fetch
+	slices.SortFunc(keys, func(a, b orderKey) int {
+		if c := cmp.Compare(a.cycle, b.cycle); c != 0 {
+			return c
 		}
-		return ra.GSeq < rb.GSeq
+		if c := cmp.Compare(a.gseq, b.gseq); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
 	})
+	order := make([]int, len(recs))
+	for i, k := range keys {
+		order[i] = k.idx
+	}
 	return order
 }
 
