@@ -22,6 +22,7 @@ package pipetrace
 
 import (
 	"smtavf/internal/avf"
+	"smtavf/internal/isa"
 	"smtavf/internal/pipeline"
 )
 
@@ -127,9 +128,10 @@ type Recorder struct {
 	records []Record
 	dropped uint64
 
-	// Provenance aggregation, exact regardless of Cap.
-	agg       map[avf.ProvKey]uint64 // bit-cycles per (struct, tid, pc, fate)
-	pcs       map[pcID]*pcMeta
+	// Provenance aggregation, exact regardless of Cap: one dense slot
+	// per static instruction, found through idx.
+	idx       map[pcID]int32
+	pcs       []pcMeta
 	fateCount [avf.NumFates]uint64
 }
 
@@ -138,9 +140,23 @@ type pcID struct {
 	pc  uint64
 }
 
+// pcMeta aggregates one static instruction: its dynamic count, its class
+// (or that several classes shared the PC), and its bit-cycles per
+// RecordStructs position and fate.
 type pcMeta struct {
-	op    string
+	id    pcID
+	class isa.Class
+	mixed bool
 	count uint64
+	bc    [len(RecordStructs)][avf.NumFates]uint64
+}
+
+// op names the instruction class, "mixed" when dynamic visits disagreed.
+func (m *pcMeta) op() string {
+	if m.mixed {
+		return "mixed"
+	}
+	return m.class.String()
 }
 
 // New builds a recorder.
@@ -148,8 +164,7 @@ func New(opt Options) *Recorder {
 	return &Recorder{
 		opt:  opt,
 		bits: pipeline.DefaultBits(),
-		agg:  make(map[avf.ProvKey]uint64),
-		pcs:  make(map[pcID]*pcMeta),
+		idx:  make(map[pcID]int32),
 	}
 }
 
@@ -183,9 +198,24 @@ func (r *Recorder) Record(u *pipeline.Uop, retire uint64, squashed bool) {
 	fate := u.Fate(squashed)
 	r.fateCount[fate]++
 
+	id := pcID{u.TID, u.PC}
+	i, ok := r.idx[id]
+	if !ok {
+		i = int32(len(r.pcs))
+		r.idx[id] = i
+		r.pcs = append(r.pcs, pcMeta{id: id, class: u.Class})
+	}
+	meta := &r.pcs[i]
+	if meta.class != u.Class {
+		// The synthetic generators may place different instruction classes
+		// at one PC across dynamic visits; don't let the first-seen class
+		// mislabel the aggregate.
+		meta.mixed = true
+	}
+	meta.count++
 	// Provenance: identical interval arithmetic to avf.Tracker.AddInterval,
 	// including the warmup rebase clip, so sums match the tracker exactly.
-	for _, res := range u.Residencies(r.bits) {
+	for k, res := range u.Residencies(r.bits) {
 		start, end := res.Start, res.End
 		if start < r.rebase {
 			start = r.rebase
@@ -193,27 +223,30 @@ func (r *Recorder) Record(u *pipeline.Uop, retire uint64, squashed bool) {
 		if end <= start {
 			continue
 		}
-		r.agg[avf.ProvKey{Struct: res.Struct, TID: u.TID, PC: u.PC, Fate: fate}] +=
-			res.Bits * (end - start)
+		meta.bc[k][fate] += res.Bits * (end - start)
 	}
-	id := pcID{u.TID, u.PC}
-	meta := r.pcs[id]
-	if meta == nil {
-		meta = &pcMeta{op: u.Class.String()}
-		r.pcs[id] = meta
-	} else if meta.op != u.Class.String() {
-		// The synthetic generators may place different instruction classes
-		// at one PC across dynamic visits; don't let the first-seen class
-		// mislabel the aggregate.
-		meta.op = "mixed"
-	}
-	meta.count++
 
 	if r.opt.Cap > 0 && len(r.records) >= r.opt.Cap {
 		r.dropped++
 		return
 	}
+	if len(r.records) == cap(r.records) {
+		r.grow()
+	}
 	r.records = append(r.records, makeRecord(u, retire, fate))
+}
+
+// minRecords is the record buffer's first allocation.
+const minRecords = 1024
+
+// grow doubles the record buffer, capped at Options.Cap, so a long
+// recording copies each record O(1) times amortised.
+func (r *Recorder) grow() {
+	n := max(2*cap(r.records), minRecords)
+	if r.opt.Cap > 0 {
+		n = min(n, r.opt.Cap)
+	}
+	r.records = append(make([]Record, 0, n), r.records...)
 }
 
 // makeRecord snapshots the uop's lifecycle into an immutable Record.
@@ -265,8 +298,8 @@ func (r *Recorder) Rebase(cycle uint64) {
 	r.rebase = cycle
 	r.records = r.records[:0]
 	r.dropped = 0
-	clear(r.agg)
-	clear(r.pcs)
+	clear(r.idx)
+	r.pcs = r.pcs[:0]
 	r.fateCount = [avf.NumFates]uint64{}
 }
 
@@ -300,29 +333,42 @@ func (r *Recorder) Records() []Record {
 // every recorded uop — with no sampling window this equals the tracker's
 // avf.Tracker.ACEBitCycles for the five uop-tracked pipeline structures.
 func (r *Recorder) ACEBitCycles(s avf.Struct) uint64 {
-	if r == nil {
-		return 0
-	}
-	var sum uint64
-	for k, bc := range r.agg {
-		if k.Struct == s && k.Fate.ACE() {
-			sum += bc
-		}
-	}
-	return sum
+	return r.bitCycles(s, true)
 }
 
 // ResidentBitCycles returns the aggregated occupancy (ACE plus un-ACE)
 // bit-cycles of structure s across every recorded uop.
 func (r *Recorder) ResidentBitCycles(s avf.Struct) uint64 {
+	return r.bitCycles(s, false)
+}
+
+// bitCycles sums structure s's bit-cycles over every PC, of ACE fates only
+// when aceOnly is set.
+func (r *Recorder) bitCycles(s avf.Struct, aceOnly bool) uint64 {
 	if r == nil {
 		return 0
 	}
+	k := recordIndex(s)
+	if k < 0 {
+		return 0
+	}
 	var sum uint64
-	for k, bc := range r.agg {
-		if k.Struct == s {
-			sum += bc
+	for i := range r.pcs {
+		for f, bc := range r.pcs[i].bc[k] {
+			if !aceOnly || avf.Fate(f).ACE() {
+				sum += bc
+			}
 		}
 	}
 	return sum
+}
+
+// recordIndex returns the position of s in RecordStructs, -1 if absent.
+func recordIndex(s avf.Struct) int {
+	for k, rs := range RecordStructs {
+		if rs == s {
+			return k
+		}
+	}
+	return -1
 }

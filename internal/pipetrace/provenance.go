@@ -59,40 +59,26 @@ func (r *Recorder) Provenance() *Provenance {
 	if r == nil {
 		return p
 	}
-	byPC := make(map[pcID]*PCProfile, len(r.pcs))
-	fates := make(map[avf.Fate]*FateProfile, avf.NumFates)
-	for _, f := range avf.Fates() {
-		fates[f] = &FateProfile{Fate: f, Count: r.fateCount[f]}
+	var fates [avf.NumFates]FateProfile
+	for f := range fates {
+		fates[f] = FateProfile{Fate: avf.Fate(f), Count: r.fateCount[f]}
 	}
-	for k, bc := range r.agg {
-		id := pcID{k.TID, k.PC}
-		prof := byPC[id]
-		if prof == nil {
-			prof = &PCProfile{TID: k.TID, PC: k.PC}
-			if meta := r.pcs[id]; meta != nil {
-				prof.Op, prof.Count = meta.op, meta.count
+	p.PCs = make([]PCProfile, len(r.pcs))
+	for i := range r.pcs {
+		meta := &r.pcs[i]
+		prof := &p.PCs[i]
+		*prof = PCProfile{TID: meta.id.tid, PC: meta.id.pc, Op: meta.op(), Count: meta.count}
+		for k, s := range RecordStructs {
+			for f, bc := range meta.bc[k] {
+				prof.Resident[s] += bc
+				fates[f].Resident[s] += bc
+				p.TotalResident[s] += bc
+				if avf.Fate(f).ACE() {
+					prof.ACE[s] += bc
+					p.TotalACE[s] += bc
+				}
 			}
-			byPC[id] = prof
 		}
-		prof.Resident[k.Struct] += bc
-		fates[k.Fate].Resident[k.Struct] += bc
-		p.TotalResident[k.Struct] += bc
-		if k.Fate.ACE() {
-			prof.ACE[k.Struct] += bc
-			p.TotalACE[k.Struct] += bc
-		}
-	}
-	// PCs that only ever occupied zero-width intervals (e.g. dropped in
-	// the front end) have no aggregation entries; surface them anyway so
-	// counts reconcile with the record stream.
-	for id, meta := range r.pcs {
-		if _, ok := byPC[id]; !ok {
-			byPC[id] = &PCProfile{TID: id.tid, PC: id.pc, Op: meta.op, Count: meta.count}
-		}
-	}
-	p.PCs = make([]PCProfile, 0, len(byPC))
-	for _, prof := range byPC {
-		p.PCs = append(p.PCs, *prof)
 	}
 	sort.Slice(p.PCs, func(i, j int) bool {
 		a, b := &p.PCs[i], &p.PCs[j]
@@ -106,7 +92,7 @@ func (r *Recorder) Provenance() *Provenance {
 		return a.PC < b.PC
 	})
 	for _, f := range avf.Fates() {
-		p.Fates = append(p.Fates, *fates[f])
+		p.Fates = append(p.Fates, fates[f])
 	}
 	return p
 }

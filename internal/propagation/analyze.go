@@ -1,7 +1,9 @@
 package propagation
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"smtavf/internal/avf"
@@ -29,38 +31,92 @@ type touch struct {
 
 // analysis is the dataflow index built once per Analyze call: who writes
 // and reads each physical register, which store satisfied each load (by
-// forwarding or through memory), and who touched each DL1 set when.
+// forwarding or through memory), and who touched each DL1 set when. It
+// also owns the per-strike scratch state, reused across strikes.
 type analysis struct {
 	t   *Tracer
 	opt Options
 
-	regWrites map[int32][]int // executed writers per phys reg, by (writeback, gseq)
-	regReads  map[int32][]int // issued readers per phys reg, by issue cycle
-	fwdOut    map[int][]int   // store node -> loads it forwarded to
-	memOut    map[int][]int   // store node -> loads that read it through memory
-	sets      [][]touch       // DL1 set -> touches, by cycle
+	regWrites [][]int       // phys reg -> executed writers, by (writeback, gseq)
+	regReads  [][]int       // phys reg -> issued readers, by (issue cycle, gseq)
+	wpos      []int32       // writer node -> its position in regWrites[physDest]
+	fwdOut    map[int][]int // store node -> loads it forwarded to
+	memOut    map[int][]int // store node -> loads that read it through memory
+	sets      [][]touch     // DL1 set -> touches, by cycle
+
+	// Victim windows per span structure (spanStructs order): a node
+	// resident in the structure at cycle c retires in
+	// [c+1-after, c+before], so a strike scans only that retire range.
+	before, after [len(spanStructs)]uint64
+
+	pairs [][]string // pairs[from][to] is the Trace.Pairs key "from>to"
+
+	// Per-strike scratch.
+	hops  []int32 // node -> taint hop depth, -1 when untainted
+	queue []int   // BFS order of the tainted nodes
+	cands []int   // victim candidates
+	seeds []seed  // DL1 strike seeds
+	seen  []bool  // per-thread first-touch marks
 }
 
 // build indexes the tracer's nodes. Every list is sorted by explicit keys
-// so the whole analysis is deterministic.
+// so the whole analysis is deterministic. Nodes must arrive in retire
+// order (the processor records each one at the cycle it retires); build
+// asserts it, since victim resolution binary-searches on it.
 func (t *Tracer) build() *analysis {
 	a := &analysis{
-		t:         t,
-		opt:       t.opt,
-		regWrites: make(map[int32][]int),
-		regReads:  make(map[int32][]int),
-		fwdOut:    make(map[int][]int),
-		memOut:    make(map[int][]int),
+		t:      t,
+		opt:    t.opt,
+		fwdOut: make(map[int][]int),
+		memOut: make(map[int][]int),
 	}
 	if t.dl1.Size > 0 {
 		a.sets = make([][]touch, t.dl1.Sets())
+	}
+	regs, threads := 0, max(t.threads, 1)
+	var prevRetire uint64
+	for i := 0; i < t.n; i++ {
+		n := t.node(i)
+		if n.retire < prevRetire {
+			panic(fmt.Sprintf("propagation: node %d (tid %d, gseq %d) retires at cycle %d, after a node retiring at %d: nodes must be recorded in retire order",
+				i, n.tid, n.gseq, n.retire, prevRetire))
+		}
+		prevRetire = n.retire
+		for k, sp := range n.spans {
+			if sp.end <= sp.start {
+				continue
+			}
+			if sp.start < n.retire {
+				a.before[k] = max(a.before[k], n.retire-sp.start)
+			}
+			if sp.end > n.retire {
+				a.after[k] = max(a.after[k], sp.end-n.retire)
+			}
+		}
+		regs = max(regs, int(n.physDest)+1, int(n.physSrc1)+1, int(n.physSrc2)+1)
+		threads = max(threads, int(n.tid)+1)
+	}
+	a.regWrites = make([][]int, regs)
+	a.regReads = make([][]int, regs)
+	a.wpos = make([]int32, t.n)
+	a.hops = make([]int32, t.n)
+	for i := range a.hops {
+		a.hops[i] = -1
+	}
+	a.seen = make([]bool, threads)
+	a.pairs = make([][]string, threads)
+	for from := range a.pairs {
+		a.pairs[from] = make([]string, threads)
+		for to := range a.pairs[from] {
+			a.pairs[from][to] = fmt.Sprintf("%d>%d", from, to)
+		}
 	}
 	// Store lists per word for load matching.
 	fwdStores := make(map[wordKey][]int) // executed stores, by gseq
 	memStores := make(map[wordKey][]int) // committed stores, by (retire, gseq)
 	var loads []int
-	for i := range t.nodes {
-		n := &t.nodes[i]
+	for i := 0; i < t.n; i++ {
+		n := t.node(i)
 		if n.executed && n.physDest >= 0 {
 			a.regWrites[n.physDest] = append(a.regWrites[n.physDest], i)
 		}
@@ -92,44 +148,34 @@ func (t *Tracer) build() *analysis {
 		}
 	}
 	for _, idxs := range a.regWrites {
-		sort.Slice(idxs, func(x, y int) bool {
-			nx, ny := &t.nodes[idxs[x]], &t.nodes[idxs[y]]
-			if nx.ready != ny.ready {
-				return nx.ready < ny.ready
-			}
-			return nx.gseq < ny.gseq
+		slices.SortFunc(idxs, func(x, y int) int {
+			nx, ny := t.node(x), t.node(y)
+			return cmp.Or(cmp.Compare(nx.ready, ny.ready), cmp.Compare(nx.gseq, ny.gseq))
 		})
+		for p, wi := range idxs {
+			a.wpos[wi] = int32(p)
+		}
 	}
 	for _, idxs := range a.regReads {
-		sort.Slice(idxs, func(x, y int) bool {
-			nx, ny := &t.nodes[idxs[x]], &t.nodes[idxs[y]]
-			if nx.issueAt != ny.issueAt {
-				return nx.issueAt < ny.issueAt
-			}
-			return nx.gseq < ny.gseq
+		slices.SortFunc(idxs, func(x, y int) int {
+			nx, ny := t.node(x), t.node(y)
+			return cmp.Or(cmp.Compare(nx.issueAt, ny.issueAt), cmp.Compare(nx.gseq, ny.gseq))
 		})
 	}
 	for _, idxs := range fwdStores {
-		sort.Slice(idxs, func(x, y int) bool {
-			return t.nodes[idxs[x]].gseq < t.nodes[idxs[y]].gseq
+		slices.SortFunc(idxs, func(x, y int) int {
+			return cmp.Compare(t.node(x).gseq, t.node(y).gseq)
 		})
 	}
 	for _, idxs := range memStores {
-		sort.Slice(idxs, func(x, y int) bool {
-			nx, ny := &t.nodes[idxs[x]], &t.nodes[idxs[y]]
-			if nx.retire != ny.retire {
-				return nx.retire < ny.retire
-			}
-			return nx.gseq < ny.gseq
+		slices.SortFunc(idxs, func(x, y int) int {
+			nx, ny := t.node(x), t.node(y)
+			return cmp.Or(cmp.Compare(nx.retire, ny.retire), cmp.Compare(nx.gseq, ny.gseq))
 		})
 	}
-	for s := range a.sets {
-		sort.Slice(a.sets[s], func(x, y int) bool {
-			tx, ty := a.sets[s][x], a.sets[s][y]
-			if tx.cycle != ty.cycle {
-				return tx.cycle < ty.cycle
-			}
-			return tx.idx < ty.idx
+	for _, touches := range a.sets {
+		slices.SortFunc(touches, func(x, y touch) int {
+			return cmp.Or(cmp.Compare(x.cycle, y.cycle), cmp.Compare(x.idx, y.idx))
 		})
 	}
 	// Match every load to the store it observed, mirroring the LSQ and
@@ -137,32 +183,21 @@ func (t *Tracer) build() *analysis {
 	// same-word store (lsq.ForwardCheck); the rest read the latest store
 	// committed before their DL1 access.
 	for _, li := range loads {
-		ld := &t.nodes[li]
+		ld := t.node(li)
 		if ld.forwarded {
-			best := -1
-			for _, si := range fwdStores[ld.word()] {
-				st := &t.nodes[si]
-				if st.gseq >= ld.gseq {
+			stores := fwdStores[ld.word()]
+			older := sort.Search(len(stores), func(p int) bool { return t.node(stores[p]).gseq >= ld.gseq })
+			for p := older - 1; p >= 0; p-- {
+				if t.node(stores[p]).ready <= ld.issueAt {
+					a.fwdOut[stores[p]] = append(a.fwdOut[stores[p]], li)
 					break
 				}
-				if st.ready <= ld.issueAt {
-					best = si
-				}
-			}
-			if best >= 0 {
-				a.fwdOut[best] = append(a.fwdOut[best], li)
 			}
 			continue
 		}
-		best := -1
-		for _, si := range memStores[ld.word()] {
-			if t.nodes[si].retire > ld.issueAt {
-				break
-			}
-			best = si
-		}
-		if best >= 0 {
-			a.memOut[best] = append(a.memOut[best], li)
+		stores := memStores[ld.word()]
+		if p := sort.Search(len(stores), func(p int) bool { return t.node(stores[p]).retire > ld.issueAt }); p > 0 {
+			a.memOut[stores[p-1]] = append(a.memOut[stores[p-1]], li)
 		}
 	}
 	return a
@@ -203,123 +238,107 @@ func (a *analysis) strikeSet(st inject.Strike) (int, bool) {
 // consumers returns the readers a write of phys by writer node wi would
 // wake: reads issuing at or after the writeback, before the register's
 // next reallocation (approximated by the next writeback to the same
-// physical register).
+// physical register). The result is a sub-slice of the register's read
+// list, sorted by issue cycle; callers must not modify it.
 func (a *analysis) consumers(phys int32, wi int) []int {
-	writers := a.regWrites[phys]
-	pos := -1
-	for p, idx := range writers {
-		if idx == wi {
-			pos = p
-			break
-		}
-	}
-	if pos < 0 {
-		return nil
-	}
-	w := &a.t.nodes[wi]
-	limit := ^uint64(0)
+	t := a.t
+	writers, reads := a.regWrites[phys], a.regReads[phys]
+	pos := int(a.wpos[wi])
+	from := t.node(wi).ready
+	lo := sort.Search(len(reads), func(p int) bool { return t.node(reads[p]).issueAt >= from })
+	hi := len(reads)
 	if pos+1 < len(writers) {
-		limit = a.t.nodes[writers[pos+1]].ready
+		limit := t.node(writers[pos+1]).ready
+		hi = lo + sort.Search(hi-lo, func(p int) bool { return t.node(reads[lo+p]).issueAt >= limit })
 	}
-	var out []int
-	for _, ri := range a.regReads[phys] {
-		r := &a.t.nodes[ri]
-		if r.issueAt < w.ready {
-			continue
-		}
-		if r.issueAt >= limit {
-			break
-		}
-		out = append(out, ri)
-	}
-	return out
+	return reads[lo:hi]
 }
 
 // resolve identifies the victim uop of a corrupting strike, plus the
 // initial contamination hops for array strikes (the accesses that read a
 // struck DL1 set after the strike). The strike's ThreadBit picks
-// deterministically among equally-resident candidates.
+// deterministically among equally-resident candidates. The returned seeds
+// alias analysis scratch, valid until the next resolve.
 func (a *analysis) resolve(st inject.Strike) (victim int, seeds []seed, ok bool) {
 	t := a.t
 	switch st.Struct {
 	case avf.IQ, avf.ROB, avf.LSQTag, avf.LSQData, avf.FU:
-		si := spanIndex(st.Struct)
-		var cands []int
-		for i := range t.nodes {
-			n := &t.nodes[i]
+		// Only nodes retiring inside the structure's residency window
+		// around the strike cycle can cover it.
+		k := spanIndex(st.Struct)
+		lo := st.Cycle + 1 - min(a.after[k], st.Cycle+1)
+		hi := st.Cycle + min(a.before[k], ^uint64(0)-st.Cycle)
+		a.cands = a.cands[:0]
+		for i := sort.Search(t.n, func(i int) bool { return t.node(i).retire >= lo }); i < t.n; i++ {
+			n := t.node(i)
+			if n.retire > hi {
+				break
+			}
 			if int(n.tid) != st.TID {
 				continue
 			}
-			sp := n.spans[si]
+			sp := n.spans[k]
 			if sp.end > sp.start && sp.start <= st.Cycle && st.Cycle < sp.end {
-				cands = append(cands, i)
+				a.cands = append(a.cands, i)
 			}
 		}
-		return pickByGSeq(t, cands, st.ThreadBit)
+		return a.pickByGSeq(st.ThreadBit)
 	case avf.Reg:
 		// The register file's ACE window runs from the write to the last
-		// read; reconstruct it from the consumer lists.
-		var cands []int
-		for i := range t.nodes {
-			n := &t.nodes[i]
-			if int(n.tid) != st.TID || !n.executed || n.physDest < 0 || n.ready > st.Cycle {
+		// read. A register's live windows do not overlap, so only its last
+		// writer by the strike cycle can be live: every earlier writer's
+		// reads end before the next writeback, at or before the strike.
+		a.cands = a.cands[:0]
+		for phys, writers := range a.regWrites {
+			p := sort.Search(len(writers), func(p int) bool { return t.node(writers[p]).ready > st.Cycle }) - 1
+			if p < 0 || int(t.node(writers[p]).tid) != st.TID {
 				continue
 			}
-			for _, ri := range a.consumers(n.physDest, i) {
-				if a.t.nodes[ri].issueAt >= st.Cycle {
-					cands = append(cands, i)
-					break
-				}
+			rs := a.consumers(int32(phys), writers[p])
+			if len(rs) > 0 && t.node(rs[len(rs)-1]).issueAt >= st.Cycle {
+				a.cands = append(a.cands, writers[p])
 			}
 		}
-		return pickByGSeq(t, cands, st.ThreadBit)
+		return a.pickByGSeq(st.ThreadBit)
 	case avf.DL1Data, avf.DL1Tag:
 		set, mapped := a.strikeSet(st)
 		if !mapped {
 			return -1, nil, false
 		}
 		touches := a.sets[set]
+		after := sort.Search(len(touches), func(p int) bool { return touches[p].cycle > st.Cycle })
+		if after == 0 {
+			return -1, nil, false
+		}
 		// Victim: the struck thread's last access to the set before the
 		// strike (falling back to any thread's — the line may be resident
 		// long after its owner's access).
-		victim = -1
-		anyPrior := -1
-		for _, tc := range touches {
-			if tc.cycle > st.Cycle {
+		victim = touches[after-1].idx
+		for p := after - 1; p >= 0; p-- {
+			if int(t.node(touches[p].idx).tid) == st.TID {
+				victim = touches[p].idx
 				break
 			}
-			anyPrior = tc.idx
-			if int(t.nodes[tc.idx].tid) == st.TID {
-				victim = tc.idx
-			}
-		}
-		if victim < 0 {
-			victim = anyPrior
-		}
-		if victim < 0 {
-			return -1, nil, false
 		}
 		// Initial hops: the first access each thread makes to the
 		// corrupted set after the strike — same-thread reads re-consume
 		// the datum (memory), other threads are contaminated through the
 		// shared array (cross_thread).
-		seen := map[int32]bool{}
-		for _, tc := range touches {
-			if tc.cycle <= st.Cycle {
+		a.seeds = a.seeds[:0]
+		for _, tc := range touches[after:] {
+			tid := t.node(tc.idx).tid
+			if a.seen[tid] || tc.idx == victim {
 				continue
 			}
-			tid := t.nodes[tc.idx].tid
-			if seen[tid] || tc.idx == victim {
-				continue
-			}
-			seen[tid] = true
+			a.seen[tid] = true
 			typ := EdgeMemory
 			if int(tid) != st.TID {
 				typ = EdgeCrossThread
 			}
-			seeds = append(seeds, seed{idx: tc.idx, typ: typ, cycle: tc.cycle})
+			a.seeds = append(a.seeds, seed{idx: tc.idx, typ: typ, cycle: tc.cycle})
 		}
-		return victim, seeds, true
+		clear(a.seen)
+		return victim, a.seeds, true
 	default:
 		// ITLB/DTLB strikes corrupt translations, not tracked dataflow.
 		return -1, nil, false
@@ -334,16 +353,17 @@ type seed struct {
 	cycle uint64
 }
 
-// pickByGSeq orders candidates by fetch age and lets the strike's
-// ThreadBit choose — the offset within the thread's ACE share is uniform
-// over resident state, so this keeps victim selection unbiased and
-// deterministic.
-func pickByGSeq(t *Tracer, cands []int, threadBit uint64) (int, []seed, bool) {
+// pickByGSeq orders the victim candidates by fetch age and lets the
+// strike's ThreadBit choose — the offset within the thread's ACE share is
+// uniform over resident state, so this keeps victim selection unbiased
+// and deterministic.
+func (a *analysis) pickByGSeq(threadBit uint64) (int, []seed, bool) {
+	cands := a.cands
 	if len(cands) == 0 {
 		return -1, nil, false
 	}
-	sort.Slice(cands, func(x, y int) bool {
-		return t.nodes[cands[x]].gseq < t.nodes[cands[y]].gseq
+	slices.SortFunc(cands, func(x, y int) int {
+		return cmp.Compare(a.t.node(x).gseq, a.t.node(y).gseq)
 	})
 	return cands[int(threadBit%uint64(len(cands)))], nil, true
 }
@@ -367,7 +387,7 @@ func (a *analysis) trace(st inject.Strike) Trace {
 	}
 	victim, seeds, ok := a.resolve(st)
 	if ok {
-		v := &t.nodes[victim]
+		v := t.node(victim)
 		tr.Resolved = true
 		tr.RootTID = int(v.tid)
 		tr.RootPC = v.pc
@@ -391,83 +411,46 @@ func (a *analysis) trace(st inject.Strike) Trace {
 	}
 
 	// Breadth-first taint expansion from the victim.
-	hops := map[int]int{victim: 0}
-	queue := []int{victim}
+	a.hops[victim] = 0
+	a.queue = append(a.queue[:0], victim)
 	tr.Tainted = 1
-	edge := func(from, to int, typ string, cycle uint64) {
-		if _, seen := hops[to]; seen {
-			return
-		}
-		if len(hops) >= a.opt.MaxNodes {
-			tr.Truncated = true
-			return
-		}
-		h := hops[from] + 1
-		hops[to] = h
-		queue = append(queue, to)
-		tr.Tainted++
-		if tr.Edges == nil {
-			// Lazy: traces with no edges serialize without the maps, so a
-			// JSONL round trip reproduces them exactly.
-			tr.Edges = map[string]int{}
-			tr.Pairs = map[string]int{}
-		}
-		tr.Edges[typ]++
-		if h > tr.Depth {
-			tr.Depth = h
-		}
-		fn, tn := &t.nodes[from], &t.nodes[to]
-		if fn.tid != tn.tid {
-			tr.CrossThread++
-		}
-		tr.Pairs[fmt.Sprintf("%d>%d", fn.tid, tn.tid)]++
-		if len(tr.Hops) < a.opt.MaxRecordedHops {
-			tr.Hops = append(tr.Hops, Hop{
-				Hop: h, Type: typ,
-				FromTID: int(fn.tid), FromPC: fn.pc,
-				ToTID: int(tn.tid), ToPC: tn.pc,
-				Cycle: cycle,
-			})
-		}
-	}
 	for _, s := range seeds {
-		edge(victim, s.idx, s.typ, s.cycle)
+		a.edge(&tr, victim, s.idx, s.typ, s.cycle)
 	}
-	for qi := 0; qi < len(queue); qi++ {
-		ni := queue[qi]
-		if hops[ni] >= a.opt.MaxHops {
+	for qi := 0; qi < len(a.queue); qi++ {
+		ni := a.queue[qi]
+		if int(a.hops[ni]) >= a.opt.MaxHops {
 			continue
 		}
-		n := &t.nodes[ni]
+		n := t.node(ni)
 		if n.executed && n.physDest >= 0 {
 			for _, ri := range a.consumers(n.physDest, ni) {
-				edge(ni, ri, EdgeReg, t.nodes[ri].issueAt)
+				a.edge(&tr, ni, ri, EdgeReg, t.node(ri).issueAt)
 			}
 		}
 		if n.class == isa.Store {
 			for _, li := range a.fwdOut[ni] {
-				edge(ni, li, EdgeForward, t.nodes[li].issueAt)
+				a.edge(&tr, ni, li, EdgeForward, t.node(li).issueAt)
 			}
 			for _, li := range a.memOut[ni] {
-				edge(ni, li, EdgeMemory, t.nodes[li].issueAt)
+				a.edge(&tr, ni, li, EdgeMemory, t.node(li).issueAt)
 			}
 			// A tainted committed store also dirties its DL1 set: the
 			// next access each *other* thread makes to that set after the
 			// writeback crosses the shared-array boundary.
 			if n.committed() && len(a.sets) > 0 {
-				set := int(n.addr/uint64(t.dl1.LineSize)) % len(a.sets)
-				seen := map[int32]bool{n.tid: true}
-				for _, tc := range a.sets[set] {
-					if tc.cycle <= n.retire {
+				touches := a.sets[int(n.addr/uint64(t.dl1.LineSize))%len(a.sets)]
+				after := sort.Search(len(touches), func(p int) bool { return touches[p].cycle > n.retire })
+				a.seen[n.tid] = true
+				for _, tc := range touches[after:] {
+					tid := t.node(tc.idx).tid
+					if a.seen[tid] {
 						continue
 					}
-					tid := t.nodes[tc.idx].tid
-					if seen[tid] {
-						continue
-					}
-					seen[tid] = true
-					edge(ni, tc.idx, EdgeCrossThread, tc.cycle)
+					a.seen[tid] = true
+					a.edge(&tr, ni, tc.idx, EdgeCrossThread, tc.cycle)
 				}
+				clear(a.seen)
 			}
 		}
 	}
@@ -475,11 +458,14 @@ func (a *analysis) trace(st inject.Strike) Trace {
 	// Terminal: the corruption is architecturally visible only if tainted
 	// work committed live (ACE). Taint confined to squashed, dead, or NOP
 	// uops never reaches committed state — microarchitectural masking the
-	// per-strike view refines beyond the campaign's ACE verdict.
-	for idx, h := range hops {
-		if t.nodes[idx].fate == avf.FateCommitted && (tr.CommitHop < 0 || h < tr.CommitHop) {
+	// per-strike view refines beyond the campaign's ACE verdict. The walk
+	// also resets the hop marks for the next strike.
+	for _, idx := range a.queue {
+		h := int(a.hops[idx])
+		if t.node(idx).fate == avf.FateCommitted && (tr.CommitHop < 0 || h < tr.CommitHop) {
 			tr.CommitHop = h
 		}
+		a.hops[idx] = -1
 	}
 	if tr.CommitHop >= 0 {
 		tr.Terminal = TerminalSDC
@@ -487,6 +473,45 @@ func (a *analysis) trace(st inject.Strike) Trace {
 		tr.Terminal = TerminalMasked
 	}
 	return tr
+}
+
+// edge taints node to over a dataflow edge from the tainted node from,
+// unless it is already tainted or the trace has hit its node bound.
+func (a *analysis) edge(tr *Trace, from, to int, typ string, cycle uint64) {
+	if a.hops[to] >= 0 {
+		return
+	}
+	if len(a.queue) >= a.opt.MaxNodes {
+		tr.Truncated = true
+		return
+	}
+	h := a.hops[from] + 1
+	a.hops[to] = h
+	a.queue = append(a.queue, to)
+	tr.Tainted++
+	if tr.Edges == nil {
+		// Lazy: traces with no edges serialize without the maps, so a
+		// JSONL round trip reproduces them exactly.
+		tr.Edges = map[string]int{}
+		tr.Pairs = map[string]int{}
+	}
+	tr.Edges[typ]++
+	if int(h) > tr.Depth {
+		tr.Depth = int(h)
+	}
+	fn, tn := a.t.node(from), a.t.node(to)
+	if fn.tid != tn.tid {
+		tr.CrossThread++
+	}
+	tr.Pairs[a.pairs[fn.tid][tn.tid]]++
+	if len(tr.Hops) < a.opt.MaxRecordedHops {
+		tr.Hops = append(tr.Hops, Hop{
+			Hop: int(h), Type: typ,
+			FromTID: int(fn.tid), FromPC: fn.pc,
+			ToTID: int(tn.tid), ToPC: tn.pc,
+			Cycle: cycle,
+		})
+	}
 }
 
 // Analyze resolves and taint-tracks every strike against the recorded

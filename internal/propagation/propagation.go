@@ -149,7 +149,8 @@ type Tracer struct {
 	dl1     mem.Config
 	threads int
 	rebase  uint64
-	nodes   []node
+	pages   []*[pageSize]node // node i lives at pages[i/pageSize][i%pageSize]
+	n       int               // retained nodes
 	dropped uint64
 
 	// Live result gauges (PublishTelemetry); nil-receiver no-ops when
@@ -159,6 +160,16 @@ type Tracer struct {
 	telSDC      *telemetry.Gauge
 	telCross    *telemetry.Gauge
 	telDepth    *telemetry.Gauge
+}
+
+// pageSize is the node count of one storage page. Nodes are appended into
+// fixed pages, so recording never copies a node and a pointer to a node
+// stays valid for the tracer's lifetime.
+const pageSize = 4096
+
+// node returns retained node i.
+func (t *Tracer) node(i int) *node {
+	return &t.pages[uint(i)/pageSize][uint(i)%pageSize]
 }
 
 // New builds a tracer. Geometry (bit widths, DL1 shape, thread count) is
@@ -191,11 +202,16 @@ func (t *Tracer) Record(u *pipeline.Uop, retire uint64, squashed bool) {
 	if t == nil {
 		return
 	}
-	if len(t.nodes) >= t.opt.Cap {
+	if t.n >= t.opt.Cap {
 		t.dropped++
 		return
 	}
-	n := node{
+	if t.n == len(t.pages)*pageSize {
+		t.pages = append(t.pages, new([pageSize]node))
+	}
+	n := t.node(t.n)
+	t.n++
+	*n = node{
 		tid:       int32(u.TID),
 		physSrc1:  int32(u.PhysSrc1),
 		physSrc2:  int32(u.PhysSrc2),
@@ -223,7 +239,6 @@ func (t *Tracer) Record(u *pipeline.Uop, retire uint64, squashed bool) {
 		}
 		n.spans[i] = span{start, end}
 	}
-	t.nodes = append(t.nodes, n)
 }
 
 // Rebase drops everything recorded so far and clips all future residency
@@ -235,7 +250,7 @@ func (t *Tracer) Rebase(cycle uint64) {
 		return
 	}
 	t.rebase = cycle
-	t.nodes = t.nodes[:0]
+	t.n = 0 // the pages are reused
 	t.dropped = 0
 }
 
@@ -244,7 +259,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.nodes)
+	return t.n
 }
 
 // Dropped returns the number of uops discarded by the node cap; a nonzero

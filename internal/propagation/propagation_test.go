@@ -3,6 +3,7 @@ package propagation_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,45 +19,69 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// runAtlas drives one deterministic simulation with a campaign and tracer
-// attached, samples strikesPer strikes into every structure, and analyzes.
-func runAtlas(t *testing.T, benches []string, total uint64, every, seed uint64,
-	strikesPer int, opt propagation.Options) (*propagation.Atlas, []inject.Strike) {
-	t.Helper()
-	cfg := core.DefaultConfig(len(benches))
-	cfg.Seed = seed
-	profiles := make([]trace.Profile, 0, len(benches))
-	for _, b := range benches {
+// run describes one deterministic simulation the propagation tests record.
+type run struct {
+	benches    []string
+	total      uint64 // committed instructions
+	every      uint64 // campaign sampling interval
+	seed       uint64
+	strikesPer int // strikes sampled per structure
+	policy     string
+	opt        propagation.Options
+}
+
+// record drives the simulation with a campaign and tracer attached and
+// samples r.strikesPer strikes into every structure.
+func record(tb testing.TB, r run) (*propagation.Tracer, []inject.Strike) {
+	tb.Helper()
+	cfg := core.DefaultConfig(len(r.benches))
+	cfg.Seed = r.seed
+	if r.policy != "" {
+		if err := cfg.SetPolicy(r.policy); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	profiles := make([]trace.Profile, 0, len(r.benches))
+	for _, b := range r.benches {
 		p, err := workload.Profile(b)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		profiles = append(profiles, p)
 	}
-	camp, err := inject.NewCampaign(core.StructBits(cfg), every, seed)
+	camp, err := inject.NewCampaign(core.StructBits(cfg), r.every, r.seed)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	proc, err := core.New(cfg, profiles)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	tracer := propagation.New(opt)
+	tracer := propagation.New(r.opt)
 	proc.Attach(camp, tracer)
-	res, err := proc.Run(core.Limits{TotalInstructions: total})
+	res, err := proc.Run(core.Limits{TotalInstructions: r.total})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if tracer.Len() == 0 {
-		t.Fatal("tracer recorded no nodes")
+		tb.Fatal("tracer recorded no nodes")
 	}
 	if tracer.Dropped() != 0 {
-		t.Fatalf("tracer dropped %d nodes below the cap", tracer.Dropped())
+		tb.Fatalf("tracer dropped %d nodes below the cap", tracer.Dropped())
 	}
 	var strikes []inject.Strike
 	for _, s := range avf.Structs() {
-		strikes = append(strikes, camp.SampleStrikes(s, res.Cycles, strikesPer)...)
+		strikes = append(strikes, camp.SampleStrikes(s, res.Cycles, r.strikesPer)...)
 	}
+	return tracer, strikes
+}
+
+// runAtlas records one run and analyzes its strikes.
+func runAtlas(t *testing.T, benches []string, total uint64, every, seed uint64,
+	strikesPer int, opt propagation.Options) (*propagation.Atlas, []inject.Strike) {
+	t.Helper()
+	tracer, strikes := record(t, run{benches: benches, total: total, every: every,
+		seed: seed, strikesPer: strikesPer, opt: opt})
 	return tracer.Analyze(strikes), strikes
 }
 
@@ -222,5 +247,95 @@ func TestMaskedAndProtectedStrikes(t *testing.T) {
 		if tr.TID != st.TID || tr.Cycle != st.Cycle || tr.Struct != st.Struct.String() {
 			t.Fatalf("trace %d does not mirror its strike: %+v vs %+v", i, tr, st)
 		}
+	}
+}
+
+// sweepStrikes returns corrupting strikes on each of n consecutive cycles
+// from the middle of the sampled strikes' span, into every uop-tracked
+// structure and the register file, for every thread. Striking every cycle
+// lands strikes exactly on residency and writeback boundaries, where an
+// off-by-one in victim resolution shows.
+func sweepStrikes(sampled []inject.Strike, threads int, n uint64) []inject.Strike {
+	var last uint64
+	for _, st := range sampled {
+		last = max(last, st.Cycle)
+	}
+	var out []inject.Strike
+	for c := last / 2; c < last/2+n; c++ {
+		for _, s := range []avf.Struct{avf.IQ, avf.ROB, avf.LSQTag, avf.LSQData, avf.FU, avf.Reg} {
+			for tid := range threads {
+				out = append(out, inject.Strike{Struct: s, Cycle: c, Bit: c, TID: tid,
+					ThreadBit: c * 2654435761, Outcome: inject.SDC})
+			}
+		}
+	}
+	return out
+}
+
+// TestAnalyzeMatchesReference checks the indexed analysis against the
+// naive reference (reference_test.go), which resolves every victim by
+// scanning all nodes and every consumer list by scanning whole writer and
+// reader lists. Over 1, 2 and 4 threads, sampled strikes into every
+// structure plus a sweep of consecutive strike cycles, and node and hop
+// bounds that truncate the expansion, every trace and the rendered tables
+// must be identical.
+func TestAnalyzeMatchesReference(t *testing.T) {
+	runs := []run{
+		{benches: []string{"mcf"}, total: 8_000, every: 8, seed: 5, strikesPer: 256},
+		{benches: []string{"mcf", "gcc"}, total: 10_000, every: 8, seed: 9, strikesPer: 256,
+			opt: propagation.Options{MaxNodes: 16}},
+		{benches: []string{"gcc", "mcf", "vpr", "perlbmk"}, total: 12_000, every: 8, seed: 21,
+			strikesPer: 256, opt: propagation.Options{MaxHops: 4, MaxRecordedHops: 8}},
+		{benches: []string{"mcf", "equake", "vpr", "swim"}, total: 10_000, every: 4, seed: 3,
+			strikesPer: 256, policy: "FLUSH", opt: propagation.Options{MaxNodes: 256}},
+	}
+	for _, r := range runs {
+		name := fmt.Sprintf("%dT-seed%d", len(r.benches), r.seed)
+		t.Run(name, func(t *testing.T) {
+			tracer, strikes := record(t, r)
+			strikes = append(strikes, sweepStrikes(strikes, len(r.benches), 16)...)
+			got := tracer.Analyze(strikes)
+			want := propagation.ReferenceAnalyze(tracer, strikes)
+			if len(got.Traces) != len(want.Traces) {
+				t.Fatalf("%d traces, reference %d", len(got.Traces), len(want.Traces))
+			}
+			resolved := map[string]bool{}
+			for i := range want.Traces {
+				if !reflect.DeepEqual(got.Traces[i], want.Traces[i]) {
+					t.Fatalf("trace %d (%s strike at cycle %d) differs from the reference:\n got %+v\nwant %+v",
+						i, strikes[i].Struct, strikes[i].Cycle, got.Traces[i], want.Traces[i])
+				}
+				if got.Traces[i].Resolved {
+					resolved[got.Traces[i].Struct] = true
+				}
+			}
+			if g, w := got.Tables(20), want.Tables(20); g != w {
+				t.Fatalf("Tables differ from the reference:\n got:\n%s\nwant:\n%s", g, w)
+			}
+			for _, s := range []avf.Struct{avf.IQ, avf.ROB, avf.LSQTag, avf.LSQData, avf.FU, avf.Reg, avf.DL1Data, avf.DL1Tag} {
+				if !resolved[s.String()] {
+					t.Errorf("no %s strike resolved a victim; the comparison does not cover it", s)
+				}
+			}
+			if r.opt.MaxNodes != 0 && got.Truncated == 0 {
+				t.Errorf("MaxNodes %d truncated no trace", r.opt.MaxNodes)
+			}
+			if r.opt.MaxHops != 0 && got.MaxDepth != r.opt.MaxHops {
+				t.Errorf("max depth %d, want the MaxHops bound %d reached", got.MaxDepth, r.opt.MaxHops)
+			}
+		})
+	}
+}
+
+// BenchmarkPropagationAnalyze times Analyze alone: one 4-thread run is
+// recorded once, then each iteration analyzes 64 strikes per structure.
+func BenchmarkPropagationAnalyze(b *testing.B) {
+	tracer, strikes := record(b, run{benches: []string{"gcc", "mcf", "vpr", "perlbmk"},
+		total: 40_000, every: 4, seed: 7, strikesPer: 64,
+		opt: propagation.Options{MaxNodes: 256}})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		tracer.Analyze(strikes)
 	}
 }
