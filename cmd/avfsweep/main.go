@@ -34,6 +34,7 @@ import (
 
 	"smtavf"
 	"smtavf/internal/cliopts"
+	"smtavf/internal/jsonlio"
 	"smtavf/internal/obs"
 	"smtavf/internal/telemetry"
 )
@@ -171,7 +172,7 @@ func main() {
 	// One combined cross-validation JSONL across every sweep point.
 	var reportW io.WriteCloser
 	if inj.Report != "" {
-		reportW, err = telemetry.OpenWriter(inj.Report)
+		reportW, err = jsonlio.OpenWriter(inj.Report)
 		if err != nil {
 			fatal(err)
 		}

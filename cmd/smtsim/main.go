@@ -28,8 +28,8 @@
 //
 // With -telemetry the run emits a cycle-windowed time-series (JSONL, or
 // CSV if the path ends in .csv); with -debug-addr a live HTTP server
-// exposes /telemetry, /debug/vars, /debug/metrics (OpenMetrics),
-// /debug/progress, and /debug/pprof/ while the run is in flight.
+// exposes /telemetry, /debug/metrics (OpenMetrics), /debug/progress, and
+// /debug/pprof/ while the run is in flight.
 // Structured progress logs go to stderr (-log-level, -log-json).
 //
 // With -obs-ledger every run appends a provenance manifest — config
@@ -394,10 +394,6 @@ func main() {
 		rec = smtavf.NewPipeTrace(opt)
 		opts = append(opts, smtavf.WithPipeTrace(rec))
 	}
-	format, err := pt.ExportFormat()
-	if err != nil {
-		fatal(err)
-	}
 	// On ^C, flush whatever the flight recorder holds so the partial trace
 	// is still openable; the normal path writes it once, below.
 	var ptWritten bool
@@ -406,7 +402,7 @@ func main() {
 			if ptWritten {
 				return nil
 			}
-			return rec.WriteFile(pt.Path, format)
+			return rec.WriteFile(pt.Path)
 		})
 	}
 
@@ -446,7 +442,7 @@ func main() {
 		logger.Info("worker timeline written", "path", obsFlags.Timeline, "spans", len(sim.Timeline()))
 	}
 	if rec != nil && pt.Path != "" {
-		if err := rec.WriteFile(pt.Path, format); err != nil {
+		if err := rec.WriteFile(pt.Path); err != nil {
 			fatal(fmt.Errorf("pipetrace: %w", err))
 		}
 		ptWritten = true

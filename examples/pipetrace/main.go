@@ -54,7 +54,7 @@ func main() {
 	// The same recording exports as pipeline-viewer traces: run.kanata
 	// opens in Konata, run.json in chrome://tracing or Perfetto.
 	for _, path := range []string{"run.kanata", "run.json"} {
-		if err := rec.WriteFile(path, ""); err != nil {
+		if err := rec.WriteFile(path); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote %s", path)

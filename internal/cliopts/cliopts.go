@@ -192,10 +192,10 @@ func (c *CPIStack) Options() cpistack.Options {
 }
 
 // PipeTrace is the pipeline flight-recorder flag group (-pipetrace,
-// -pipetrace-format, -pipetrace-window, -pipetrace-top).
+// -pipetrace-window, -pipetrace-top); the -pipetrace file's extension
+// names its format.
 type PipeTrace struct {
 	Path   string
-	Format string
 	Window string
 	Top    int
 }
@@ -203,7 +203,6 @@ type PipeTrace struct {
 // Register binds the pipetrace flags.
 func (p *PipeTrace) Register(fs *flag.FlagSet) {
 	fs.StringVar(&p.Path, "pipetrace", "", help("pipetrace"))
-	fs.StringVar(&p.Format, "pipetrace-format", "", help("pipetrace-format"))
 	fs.StringVar(&p.Window, "pipetrace-window", "", help("pipetrace-window"))
 	fs.IntVar(&p.Top, "pipetrace-top", 0, help("pipetrace-top"))
 }
@@ -221,21 +220,7 @@ func (p *PipeTrace) Options() (pipetrace.Options, error) {
 			return opt, err
 		}
 	}
-	if _, err := p.ExportFormat(); err != nil {
-		return opt, err
-	}
 	return opt, nil
-}
-
-// ExportFormat validates -pipetrace-format; empty means choose by file
-// extension.
-func (p *PipeTrace) ExportFormat() (pipetrace.Format, error) {
-	f := pipetrace.Format(p.Format)
-	switch f {
-	case "", pipetrace.FormatKanata, pipetrace.FormatChrome, pipetrace.FormatJSONL:
-		return f, nil
-	}
-	return "", fmt.Errorf("unknown -pipetrace-format %q (kanata, chrome, or jsonl)", p.Format)
 }
 
 // ParseWindow parses a "START:END" cycle window; END may be omitted or 0

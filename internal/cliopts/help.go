@@ -15,7 +15,7 @@ var helpText = map[string]string{
 	"telemetry":        "write a cycle-windowed telemetry series to this file (JSONL; .csv for CSV, .gz compresses)",
 	"telemetry-window": "telemetry sampling window in cycles",
 	"telemetry-dir":    "record one cycle-windowed JSONL series per run into this directory",
-	"debug-addr":       "serve /telemetry, /debug/vars and /debug/pprof on this address during the run (e.g. :6060)",
+	"debug-addr":       "serve /telemetry, /debug/metrics and /debug/pprof on this address during the run (e.g. :6060)",
 
 	// Inject
 	"inject":         "attach a statistical fault-injection campaign and cross-validate the AVF report against it",
@@ -38,7 +38,6 @@ var helpText = map[string]string{
 
 	// PipeTrace
 	"pipetrace":        "record per-uop pipeline lifecycles to this file (.kanata/.kan Kanata, .json Chrome trace_event, else JSONL; .gz compresses)",
-	"pipetrace-format": "force the -pipetrace format: kanata, chrome, or jsonl (default: by extension)",
 	"pipetrace-window": "record only uops fetched in this cycle window, as START:END (END 0 or absent = unbounded)",
 	"pipetrace-top":    "print the top-N per-PC AVF provenance hotspots per pipeline structure (enables recording)",
 

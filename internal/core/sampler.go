@@ -146,11 +146,12 @@ func (p *Processor) phaseSampler() *sampler {
 // collector also serves live registry metrics between windows; each
 // window advances them by its own counts.
 func (p *Processor) windowSampler(o WindowObserver) *sampler {
-	col, _ := o.(*telemetry.Collector) // nil handles below are no-ops
-	cycle := col.Gauge("sim.cycle")
-	committed := col.Counter("sim.committed")
-	flushes := col.Counter("sim.flushes")
-	squashed := col.Counter("sim.squashed_uops")
+	col, _ := o.(*telemetry.Collector)
+	reg := col.Registry() // nil for other observers; its handles are no-ops
+	cycle := reg.Gauge("sim.cycle", "")
+	committed := reg.Counter("sim.committed", "")
+	flushes := reg.Counter("sim.flushes", "")
+	squashed := reg.Counter("sim.squashed_uops", "")
 	return &sampler{every: o.WindowCycles(), emit: func(s *sampler, cur *snapshot, final bool) {
 		w := p.window(s, cur, final)
 		o.Record(w)

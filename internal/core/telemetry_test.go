@@ -84,13 +84,12 @@ func TestTelemetryWindowsMatchFinalReport(t *testing.T) {
 	}
 
 	// The live registry counters track the run totals.
-	snap := col.Snapshot()
-	if snap.Counters["sim.committed"] != res.Total {
-		t.Fatalf("live committed counter = %d, run total = %d",
-			snap.Counters["sim.committed"], res.Total)
+	reg := col.Registry()
+	if got := reg.Counter("sim.committed", "").Value(); got != res.Total {
+		t.Fatalf("live committed counter = %d, run total = %d", got, res.Total)
 	}
-	if uint64(snap.Gauges["sim.cycle"]) != res.Cycles {
-		t.Fatalf("live cycle gauge = %v, run cycles = %d", snap.Gauges["sim.cycle"], res.Cycles)
+	if got := reg.Gauge("sim.cycle", "").Value(); uint64(got) != res.Cycles {
+		t.Fatalf("live cycle gauge = %v, run cycles = %d", got, res.Cycles)
 	}
 }
 

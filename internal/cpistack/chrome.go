@@ -1,26 +1,12 @@
 package cpistack
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"smtavf/internal/avf"
+	"smtavf/internal/jsonlio"
 )
-
-// chromeEvent is one trace_event object; field order is the JSON output
-// order, matching internal/pipetrace's exporter so the two traces merge
-// cleanly in a viewer.
-type chromeEvent struct {
-	Name string      `json:"name"`
-	Cat  string      `json:"cat,omitempty"`
-	Ph   string      `json:"ph"`
-	Ts   uint64      `json:"ts"`
-	Pid  int         `json:"pid"`
-	Tid  int         `json:"tid"`
-	Args interface{} `json:"args,omitempty"`
-}
 
 // WriteChrome writes the windows as Chrome trace_event counter ("C")
 // tracks, loadable by chrome://tracing and Perfetto: one "cpi/t<tid>"
@@ -34,27 +20,9 @@ func (o *Observer) WriteChrome(w io.Writer) error {
 	if o == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n")
-	first := true
-	emit := func(e chromeEvent) error {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		_, err = bw.Write(data)
-		return err
-	}
-
+	cw := jsonlio.NewChromeWriter(w)
 	for tid := 0; tid < o.threads; tid++ {
-		if err := emit(chromeEvent{
-			Name: "process_name", Ph: "M", Pid: tid,
-			Args: map[string]string{"name": fmt.Sprintf("hw thread %d", tid)},
-		}); err != nil {
+		if err := cw.ProcessName(tid, fmt.Sprintf("hw thread %d", tid)); err != nil {
 			return err
 		}
 	}
@@ -67,7 +35,7 @@ func (o *Observer) WriteChrome(w io.Writer) error {
 			for c := Component(0); c < NumComponents; c++ {
 				args[c.String()] = win.stack[tid][c]
 			}
-			if err := emit(chromeEvent{
+			if err := cw.Event(jsonlio.TraceEvent{
 				Name: fmt.Sprintf("cpi/t%d", tid), Cat: "cpistack", Ph: "C",
 				Ts: ts, Pid: tid, Args: args,
 			}); err != nil {
@@ -79,7 +47,7 @@ func (o *Observer) WriteChrome(w io.Writer) error {
 			for _, f := range avf.Fates() {
 				args[f.String()] = win.occ[s][f]
 			}
-			if err := emit(chromeEvent{
+			if err := cw.Event(jsonlio.TraceEvent{
 				Name: "occupancy/" + s.String(), Cat: "occupancy", Ph: "C",
 				Ts: ts, Args: args,
 			}); err != nil {
@@ -87,6 +55,5 @@ func (o *Observer) WriteChrome(w io.Writer) error {
 			}
 		}
 	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
+	return cw.Close()
 }

@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"smtavf/internal/avf"
+	"smtavf/internal/obs"
 	"smtavf/internal/pipeline"
 	"smtavf/internal/telemetry"
 )
@@ -135,10 +136,10 @@ type Observer struct {
 	occ   [avf.NumStructs][avf.NumFates]uint64 // bit-cycles by fate
 
 	// Live gauges (PublishTelemetry); nil-receiver no-ops when detached.
-	gComp [NumComponents]*telemetry.Gauge
-	gOcc  [avf.NumStructs]*telemetry.Gauge
-	gACE  [avf.NumStructs]*telemetry.Gauge
-	gWins *telemetry.Gauge
+	gComp [NumComponents]*obs.Gauge
+	gOcc  [avf.NumStructs]*obs.Gauge
+	gACE  [avf.NumStructs]*obs.Gauge
+	gWins *obs.Gauge
 }
 
 // windowAcc is one in-memory accounting window. Residency classification
@@ -368,7 +369,8 @@ func (o *Observer) Span() (start, end uint64) {
 	return o.base, o.max
 }
 
-// PublishTelemetry registers the observer's live gauges on the collector:
+// PublishTelemetry registers the observer's live gauges on the collector's
+// registry:
 // smtavf_cpistack_<component> (share of the last closed window's
 // thread-cycles, refreshed as windows close) and smtavf_occupancy_<S> /
 // smtavf_occupancy_<S>_ace (cumulative occupied fraction of structure S
@@ -378,13 +380,14 @@ func (o *Observer) PublishTelemetry(col *telemetry.Collector) {
 	if o == nil {
 		return
 	}
+	reg := col.Registry()
 	for c := Component(0); c < NumComponents; c++ {
-		o.gComp[c] = col.Gauge("cpistack." + c.String())
+		o.gComp[c] = reg.Gauge("cpistack."+c.String(), "")
 	}
-	o.gWins = col.Gauge("cpistack.windows")
+	o.gWins = reg.Gauge("cpistack.windows", "")
 	for _, s := range OccupancyStructs() {
-		o.gOcc[s] = col.Gauge("occupancy." + s.String())
-		o.gACE[s] = col.Gauge("occupancy." + s.String() + ".ace")
+		o.gOcc[s] = reg.Gauge("occupancy."+s.String(), "")
+		o.gACE[s] = reg.Gauge("occupancy."+s.String()+".ace", "")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"smtavf/internal/avf"
 	"smtavf/internal/isa"
+	"smtavf/internal/jsonlio"
 	"smtavf/internal/pipeline"
 )
 
@@ -117,7 +118,7 @@ func TestRecordUsesFateAndClipsAtRebase(t *testing.T) {
 	}
 }
 
-func fillObserver(t *testing.T) *Observer {
+func fillObserver(t testing.TB) *Observer {
 	t.Helper()
 	o := testObserver(10)
 	comps := []Component{CompBase, CompL2Miss}
@@ -262,4 +263,33 @@ func TestWriteFileDispatch(t *testing.T) {
 			t.Errorf("%s starts %q, want prefix %q", tc.name, data[:20], tc.prefix)
 		}
 	}
+}
+
+// FuzzReadFile: the reader never panics, and every file it accepts
+// re-encodes as JSONL and reads back to the same window count.
+func FuzzReadFile(f *testing.F) {
+	var seed bytes.Buffer
+	if err := jsonlio.WriteLines(&seed, fillObserver(f).Windows()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.jsonl")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wins, err := ReadFile(in)
+		if err != nil {
+			return
+		}
+		out := filepath.Join(dir, "out.jsonl")
+		if err := jsonlio.WriteFile(out, wins); err != nil {
+			t.Fatalf("accepted windows do not re-encode: %v", err)
+		}
+		back, err := ReadFile(out)
+		if err != nil || len(back) != len(wins) {
+			t.Fatalf("re-encoded file reads back %d of %d windows (%v)", len(back), len(wins), err)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package cpistack
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"strings"
 
 	"smtavf/internal/avf"
@@ -71,34 +70,19 @@ func (o *Observer) Windows() []Window {
 }
 
 // WriteFile exports the windows to path, choosing the format from the
-// extension: ".csv" writes the flat CSV table, ".json" writes Chrome
-// trace_event counter tracks (load in chrome://tracing or Perfetto), and
-// anything else writes versioned JSONL (".gz" compresses, JSONL only).
+// extension (jsonlio.Ext): ".csv" writes the flat CSV table, ".json"
+// writes Chrome trace_event counter tracks (load in chrome://tracing or
+// Perfetto), and anything else writes versioned JSONL. A trailing ".gz"
+// compresses any of them.
 func (o *Observer) WriteFile(path string) error {
 	if o == nil {
 		return nil
 	}
-	switch strings.ToLower(filepath.Ext(path)) {
+	switch jsonlio.Ext(path) {
 	case ".csv":
-		w, err := jsonlio.OpenWriter(path)
-		if err != nil {
-			return err
-		}
-		if err := o.WriteCSV(w); err != nil {
-			w.Close()
-			return err
-		}
-		return w.Close()
+		return jsonlio.EncodeFile(path, o.WriteCSV)
 	case ".json":
-		w, err := jsonlio.OpenWriter(path)
-		if err != nil {
-			return err
-		}
-		if err := o.WriteChrome(w); err != nil {
-			w.Close()
-			return err
-		}
-		return w.Close()
+		return jsonlio.EncodeFile(path, o.WriteChrome)
 	default:
 		return jsonlio.WriteFile(path, o.Windows())
 	}

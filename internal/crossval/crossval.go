@@ -203,15 +203,7 @@ func (r *Report) WriteJSONL(w io.Writer) error {
 // WriteFile writes the report as JSONL to path, gzip-compressing when the
 // name ends in .gz (the shared jsonlio writer convention).
 func (r *Report) WriteFile(path string) error {
-	w, err := jsonlio.OpenWriter(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSONL(w); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
+	return jsonlio.EncodeFile(path, r.WriteJSONL)
 }
 
 // checkEntry rejects entries with a schema version newer than this package

@@ -189,3 +189,32 @@ func TestPool(t *testing.T) {
 		t.Error("pooling mixed confidence levels should error")
 	}
 }
+
+// FuzzReadJSONL: the reader never panics, and every stream it accepts
+// re-encodes with Report.WriteJSONL and reads back to the same entry count.
+func FuzzReadJSONL(f *testing.F) {
+	var tracker [avf.NumStructs]float64
+	tracker[avf.IQ] = 0.2
+	rep := Build(Meta{Workload: "w", Policy: "P"}, tracker,
+		stats(map[avf.Struct][2]uint64{avf.IQ: {2000, 10000}, avf.ROB: {30, 900}}))
+	var seed bytes.Buffer
+	if err := rep.WriteJSONL(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte(`{"v":99}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := (&Report{Entries: entries}).WriteJSONL(&buf); err != nil {
+			t.Fatalf("accepted entries do not re-encode: %v", err)
+		}
+		back, err := ReadJSONL(&buf)
+		if err != nil || len(back) != len(entries) {
+			t.Fatalf("re-encoded stream reads back %d of %d entries (%v)", len(back), len(entries), err)
+		}
+	})
+}

@@ -30,7 +30,6 @@ import (
 	"smtavf/internal/avf"
 	"smtavf/internal/obs"
 	"smtavf/internal/rng"
-	"smtavf/internal/telemetry"
 )
 
 // cell is the state recorded at one sample cycle of one structure: the
@@ -71,11 +70,11 @@ type Campaign struct {
 
 	// Live progress handles (PublishTelemetry); nil-receiver no-ops when
 	// telemetry is not attached.
-	telEvents  *telemetry.Counter
-	telStrikes *telemetry.Gauge
-	telRounds  *telemetry.Gauge
-	telETA     *telemetry.Gauge
-	telHW      [avf.NumStructs]*telemetry.Gauge
+	telEvents  *obs.Counter
+	telStrikes *obs.Gauge
+	telRounds  *obs.Gauge
+	telETA     *obs.Gauge
+	telHW      [avf.NumStructs]*obs.Gauge
 	telLogger  logger
 	prog       *obs.Progress
 }

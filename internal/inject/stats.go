@@ -274,22 +274,23 @@ func etaStrikes(st *Stats, rule Stop, z float64) float64 {
 }
 
 // PublishTelemetry registers the campaign's live progress metrics on the
-// collector: the inject.events counter ticks with every residency
-// interval during the run, and the strike phase (RunStrikes) keeps
-// inject.strikes, inject.rounds, inject.eta_strikes, and per-structure
-// inject.halfwidth.* gauges current — all visible on the /telemetry and
-// /debug/vars endpoints while a long campaign converges. A nil collector
-// leaves the campaign unobserved.
+// collector's registry: the inject.events counter ticks with every
+// residency interval during the run, and the strike phase (RunStrikes)
+// keeps inject.strikes, inject.rounds, inject.eta_strikes, and
+// per-structure inject.halfwidth.* gauges current — all visible on
+// /debug/metrics while a long campaign converges. A nil collector leaves
+// the campaign unobserved.
 func (c *Campaign) PublishTelemetry(col *telemetry.Collector) {
 	if c == nil {
 		return
 	}
-	c.telEvents = col.Counter("inject.events")
-	c.telStrikes = col.Gauge("inject.strikes")
-	c.telRounds = col.Gauge("inject.rounds")
-	c.telETA = col.Gauge("inject.eta_strikes")
+	reg := col.Registry()
+	c.telEvents = reg.Counter("inject.events", "")
+	c.telStrikes = reg.Gauge("inject.strikes", "")
+	c.telRounds = reg.Gauge("inject.rounds", "")
+	c.telETA = reg.Gauge("inject.eta_strikes", "")
 	for s := avf.Struct(0); s < avf.NumStructs; s++ {
-		c.telHW[s] = col.Gauge("inject.halfwidth." + s.String())
+		c.telHW[s] = reg.Gauge("inject.halfwidth."+s.String(), "")
 	}
 	c.prog = col.Progress()
 	if l := col.SlogLogger(); l != nil {

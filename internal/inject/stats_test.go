@@ -218,7 +218,7 @@ func TestRunStrikesDeterministic(t *testing.T) {
 	}
 }
 
-// TestPublishTelemetry: progress gauges appear in the collector snapshot
+// TestPublishTelemetry: progress gauges appear on the collector's registry
 // after a strike run; a nil collector is a no-op.
 func TestPublishTelemetry(t *testing.T) {
 	var bits [avf.NumStructs]uint64
@@ -232,21 +232,21 @@ func TestPublishTelemetry(t *testing.T) {
 	fill(t, c, avf.IQ, 10, map[int]uint64{0: 25})
 	st := c.RunStrikes(10, StopWhen(0.05, 1<<16))
 
-	snap := col.Snapshot()
-	if got := snap.Counters["inject.events"]; got != c.Events() {
+	reg := col.Registry()
+	if got := reg.Counter("inject.events", "").Value(); got != c.Events() {
 		t.Errorf("inject.events = %d, want %d", got, c.Events())
 	}
-	if got := snap.Gauges["inject.strikes"]; got != float64(st.TotalStrikes) {
+	if got := reg.Gauge("inject.strikes", "").Value(); got != float64(st.TotalStrikes) {
 		t.Errorf("inject.strikes = %v, want %d", got, st.TotalStrikes)
 	}
-	if got := snap.Gauges["inject.rounds"]; got != float64(st.Rounds) {
+	if got := reg.Gauge("inject.rounds", "").Value(); got != float64(st.Rounds) {
 		t.Errorf("inject.rounds = %v, want %d", got, st.Rounds)
 	}
-	if _, ok := snap.Gauges["inject.halfwidth.IQ"]; !ok {
-		t.Error("per-structure half-width gauge missing from the snapshot")
+	if !reg.Has("inject.halfwidth.IQ") {
+		t.Error("per-structure half-width gauge missing from the registry")
 	}
-	if _, ok := snap.Gauges["inject.eta_strikes"]; !ok {
-		t.Error("eta gauge missing from the snapshot")
+	if !reg.Has("inject.eta_strikes") {
+		t.Error("eta gauge missing from the registry")
 	}
 
 	// Detached publishing is a no-op, not a panic.
@@ -258,10 +258,9 @@ func TestPublishTelemetry(t *testing.T) {
 	c3.RunStrikes(10, StopWhen(0.05, 1<<16))
 }
 
-// TestTelemetryNameParity pins the migration contract of the campaign
-// gauges: every legacy dotted name stays in the collector snapshot (the
-// /debug/vars surface) AND registers on the obs registry (the
-// /debug/metrics surface) under the same dotted family name.
+// TestTelemetryNameParity pins the names of the campaign gauges: every
+// dotted name registers on the obs registry (the /debug/metrics surface)
+// under the same family name.
 func TestTelemetryNameParity(t *testing.T) {
 	var bits [avf.NumStructs]uint64
 	bits[avf.IQ] = 100
@@ -278,14 +277,8 @@ func TestTelemetryNameParity(t *testing.T) {
 	for _, s := range avf.Structs() {
 		names = append(names, "inject.halfwidth."+s.String())
 	}
-	snap := col.Snapshot()
 	reg := col.Registry()
 	for _, name := range names {
-		_, inCounters := snap.Counters[name]
-		_, inGauges := snap.Gauges[name]
-		if !inCounters && !inGauges {
-			t.Errorf("legacy name %q missing from the collector snapshot", name)
-		}
 		if !reg.Has(name) {
 			t.Errorf("name %q missing from the obs registry", name)
 		}

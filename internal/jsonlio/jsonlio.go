@@ -1,9 +1,12 @@
-// Package jsonlio centralizes the versioned-JSONL file plumbing shared by
-// every serialized record stream in the simulator: telemetry windows,
-// pipetrace flight recordings, crossval agreement reports, and propagation
-// traces. Each stream writes one JSON object per line, stamps a schema
-// version into every line's "v" field, and is gzip-aware on both ends
-// (paths ending in ".gz" compress transparently).
+// Package jsonlio centralizes the output plumbing shared by the files the
+// simulator writes: telemetry windows, pipetrace flight recordings,
+// CPI-stack series, crossval agreement reports and propagation traces.
+// JSONL streams write one JSON object per line and stamp a schema version
+// into every line's "v" field. Files opened here are gzip-aware on both
+// ends (paths ending in ".gz" compress transparently), and a writer that
+// offers several formats picks one by a single extension rule (Ext). The
+// Chrome trace_event encoder (chrome.go) writes every trace, shard
+// timelines included.
 //
 // The package exists because three packages grew three private copies of
 // the same gzip writer, scanner loop, and version check; a fourth consumer
@@ -20,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -27,6 +31,13 @@ import (
 // suffix, case-insensitive).
 func IsGzipPath(path string) bool {
 	return strings.HasSuffix(strings.ToLower(path), ".gz")
+}
+
+// Ext returns path's extension, lower-cased, after dropping a trailing
+// ".gz": "run.CSV.gz" gives ".csv" and "run.gz" gives "". Every writer that
+// picks a format from a file name switches on it.
+func Ext(path string) string {
+	return filepath.Ext(strings.TrimSuffix(strings.ToLower(path), ".gz"))
 }
 
 // OpenWriter creates path for writing, transparently wrapping the stream
@@ -129,17 +140,23 @@ func WriteLines[T any](w io.Writer, recs []T) error {
 	return nil
 }
 
-// WriteFile writes recs as JSONL to path (".gz" compresses).
-func WriteFile[T any](path string, recs []T) error {
+// EncodeFile creates path (".gz" compresses), runs encode on it and
+// closes the file, also when encode fails; the first error wins.
+func EncodeFile(path string, encode func(io.Writer) error) error {
 	w, err := OpenWriter(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteLines(w, recs); err != nil {
+	if err := encode(w); err != nil {
 		w.Close()
 		return err
 	}
 	return w.Close()
+}
+
+// WriteFile writes recs as JSONL to path (".gz" compresses).
+func WriteFile[T any](path string, recs []T) error {
+	return EncodeFile(path, func(w io.Writer) error { return WriteLines(w, recs) })
 }
 
 // ReadLines decodes a JSONL stream produced by WriteLines. check, when

@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"smtavf/internal/jsonlio"
 )
 
 // fixedManifests builds a deterministic ledger for the golden tests —
@@ -190,4 +193,41 @@ func TestNewManifestFillsProvenance(t *testing.T) {
 	if m.Status != StatusError || m.Error == "" || m.End == "" {
 		t.Fatalf("finish with error: %+v", m)
 	}
+}
+
+// FuzzReadLedger: the reader never panics, and every ledger it accepts
+// re-appends record by record and reads back to the same manifest count.
+func FuzzReadLedger(f *testing.F) {
+	var seed bytes.Buffer
+	if err := jsonlio.WriteLines(&seed, fixedManifests()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.jsonl")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runs, err := ReadLedger(in)
+		if err != nil {
+			return
+		}
+		l, err := OpenLedger(filepath.Join(dir, "out.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range runs {
+			if err := l.Append(&runs[i]); err != nil {
+				t.Fatalf("accepted manifest %d does not re-encode: %v", i, err)
+			}
+		}
+		back, err := ReadLedger(l.Path())
+		if len(runs) == 0 && os.IsNotExist(err) {
+			return // no record, no file
+		}
+		if err != nil || len(back) != len(runs) {
+			t.Fatalf("re-appended ledger reads back %d of %d manifests (%v)", len(back), len(runs), err)
+		}
+	})
 }

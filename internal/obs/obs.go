@@ -10,11 +10,11 @@
 //   - Registry (registry.go): a lock-cheap typed metrics registry —
 //     counters, gauges, histograms with fixed buckets — exposed as
 //     OpenMetrics/Prometheus text (openmetrics.go) at /debug/metrics on
-//     the telemetry debug server. The telemetry.Collector's live
-//     counters/gauges are backed by it, so the inject.* and inject.prop.*
-//     campaign gauges surface on both /debug/vars (legacy dotted names)
-//     and /debug/metrics (sanitized smtavf_* families) without the
-//     publishing code changing.
+//     the telemetry debug server, the one live view of every metric.
+//     Publishers (the sim.*, inject.*, inject.prop.*, cpistack.* and
+//     occupancy.* families) register on it through the
+//     telemetry.Collector's Registry under dotted names, exposed as
+//     sanitized smtavf_* families.
 //
 //   - Ledger (ledger.go): an append-only runs.jsonl of versioned
 //     RunManifest records — config digest, seeds, workloads, cycle and

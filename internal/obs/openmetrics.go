@@ -17,9 +17,9 @@ const MetricPrefix = "smtavf_"
 
 // ExpositionName maps a registry name onto its OpenMetrics family name:
 // the smtavf_ prefix plus the name with every character outside
-// [a-zA-Z0-9_:] replaced by '_'. Dotted legacy names (inject.halfwidth.IQ)
-// stay one family each — the /debug/vars compatibility contract keeps
-// their identity flat rather than re-encoding suffixes as labels.
+// [a-zA-Z0-9_:] replaced by '_'. Dotted names (inject.halfwidth.IQ) stay
+// one family each: their identity is flat, so suffixes are not re-encoded
+// as labels and the published family names never move.
 func ExpositionName(name string) string {
 	var b strings.Builder
 	b.Grow(len(MetricPrefix) + len(name))

@@ -185,7 +185,7 @@ type metric struct {
 // (windows, strikes, shards), and deliberately not wired into the
 // per-cycle hot loop. Registering the same name+labels again returns the
 // existing instrument; registering it as a different type panics (a
-// programming error, caught loudly like expvar does).
+// programming error, caught loudly).
 type Registry struct {
 	start time.Time
 

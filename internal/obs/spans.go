@@ -1,12 +1,12 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"time"
+
+	"smtavf/internal/jsonlio"
 )
 
 // Span is one phase of one worker's life during a sharded run: which
@@ -25,31 +25,10 @@ type Span struct {
 // Seconds returns the span's duration in seconds.
 func (s Span) Seconds() float64 { return (s.End - s.Start).Seconds() }
 
-// spanEvent mirrors the pipetrace chromeEvent shape: field order is the
-// JSON output order, which keeps traces diff-stable.
-type spanEvent struct {
-	Name string `json:"name"`
-	Cat  string `json:"cat,omitempty"`
-	Ph   string `json:"ph"`
-	Ts   uint64 `json:"ts"`
-	Dur  uint64 `json:"dur"`
-	Pid  int    `json:"pid"`
-	Tid  int    `json:"tid"`
-	Args any    `json:"args,omitempty"`
-}
-
-type spanMeta struct {
-	Name string `json:"name"`
-	Ph   string `json:"ph"`
-	Pid  int    `json:"pid"`
-	Args any    `json:"args"`
-}
-
 // WriteChromeSpans writes worker spans in the Chrome trace_event JSON
 // object format, loadable by chrome://tracing and Perfetto: one process
 // track per pool worker (plus a "merge" track), one complete ("X") slice
-// per span, microsecond timestamps. The layout follows the pipetrace
-// Chrome exporter so both trace families open in the same viewer.
+// per span, microsecond timestamps, through the shared jsonlio encoder.
 func WriteChromeSpans(w io.Writer, spans []Span) error {
 	ordered := append([]Span(nil), spans...)
 	sort.SliceStable(ordered, func(i, j int) bool {
@@ -59,22 +38,7 @@ func WriteChromeSpans(w io.Writer, spans []Span) error {
 		return ordered[i].Start < ordered[j].Start
 	})
 
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n")
-	first := true
-	emit := func(v any) error {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		_, err = bw.Write(data)
-		return err
-	}
-
+	cw := jsonlio.NewChromeWriter(w)
 	seen := map[int]bool{}
 	for _, s := range ordered {
 		if seen[s.Worker] {
@@ -85,10 +49,7 @@ func WriteChromeSpans(w io.Writer, spans []Span) error {
 		if s.Worker < 0 {
 			name = "merge"
 		}
-		if err := emit(spanMeta{
-			Name: "process_name", Ph: "M", Pid: chromePid(s.Worker),
-			Args: map[string]string{"name": name},
-		}); err != nil {
+		if err := cw.ProcessName(chromePid(s.Worker), name); err != nil {
 			return err
 		}
 	}
@@ -96,15 +57,14 @@ func WriteChromeSpans(w io.Writer, spans []Span) error {
 		ts := uint64(s.Start / time.Microsecond)
 		dur := uint64((s.End - s.Start) / time.Microsecond)
 		args := map[string]any{"shard": s.Shard}
-		if err := emit(spanEvent{
+		if err := cw.Event(jsonlio.TraceEvent{
 			Name: s.Phase, Cat: "shard", Ph: "X",
-			Ts: ts, Dur: dur, Pid: chromePid(s.Worker), Tid: 0, Args: args,
+			Ts: ts, Dur: &dur, Pid: chromePid(s.Worker), Args: args,
 		}); err != nil {
 			return err
 		}
 	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
+	return cw.Close()
 }
 
 // chromePid maps a worker id to a trace pid: workers keep their index,

@@ -1,25 +1,11 @@
 package pipetrace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-)
 
-// chromeEvent is one trace_event object. Field order is the JSON output
-// order (encoding/json emits struct fields in declaration order), which
-// the golden tests rely on.
-type chromeEvent struct {
-	Name string      `json:"name"`
-	Cat  string      `json:"cat,omitempty"`
-	Ph   string      `json:"ph"`
-	Ts   uint64      `json:"ts"`
-	Dur  *uint64     `json:"dur,omitempty"`
-	Pid  int         `json:"pid"`
-	Tid  int         `json:"tid"`
-	Args interface{} `json:"args,omitempty"`
-}
+	"smtavf/internal/jsonlio"
+)
 
 // chromeArgs annotates every slice of one uop.
 type chromeArgs struct {
@@ -41,21 +27,7 @@ type chromeArgs struct {
 func WriteChrome(w io.Writer, recs []Record) error {
 	order := fetchOrder(recs)
 
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n")
-	first := true
-	emit := func(e chromeEvent) error {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		_, err = bw.Write(data)
-		return err
-	}
+	cw := jsonlio.NewChromeWriter(w)
 
 	// Process-name metadata, one per hardware thread present.
 	seen := map[int]bool{}
@@ -65,10 +37,7 @@ func WriteChrome(w io.Writer, recs []Record) error {
 			continue
 		}
 		seen[tid] = true
-		if err := emit(chromeEvent{
-			Name: "process_name", Ph: "M", Pid: tid,
-			Args: map[string]string{"name": fmt.Sprintf("hw thread %d", tid)},
-		}); err != nil {
+		if err := cw.ProcessName(tid, fmt.Sprintf("hw thread %d", tid)); err != nil {
 			return err
 		}
 	}
@@ -104,7 +73,7 @@ func WriteChrome(w io.Writer, recs []Record) error {
 		}
 		for _, st := range chromeStages(r) {
 			dur := st.end - st.start
-			if err := emit(chromeEvent{
+			if err := cw.Event(jsonlio.TraceEvent{
 				Name: st.name, Cat: "uop", Ph: "X",
 				Ts: st.start, Dur: &dur, Pid: r.TID, Tid: lane, Args: args,
 			}); err != nil {
@@ -112,8 +81,7 @@ func WriteChrome(w io.Writer, recs []Record) error {
 			}
 		}
 	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
+	return cw.Close()
 }
 
 type chromeStage struct {

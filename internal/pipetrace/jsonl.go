@@ -3,7 +3,6 @@ package pipetrace
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"smtavf/internal/jsonlio"
 )
@@ -36,15 +35,14 @@ const (
 	FormatJSONL  Format = "jsonl"
 )
 
-// FormatForPath picks the export format from a file name: ".kanata" (or
-// ".kan") selects Kanata, ".json" Chrome trace_event, anything else JSONL.
-// A trailing ".gz" is ignored (the file is written gzip-compressed).
+// FormatForPath picks the export format from a file name (jsonlio.Ext):
+// ".kanata" (or ".kan") selects Kanata, ".json" Chrome trace_event,
+// anything else JSONL. A trailing ".gz" compresses the file.
 func FormatForPath(path string) Format {
-	name := strings.TrimSuffix(strings.ToLower(path), ".gz")
-	switch {
-	case strings.HasSuffix(name, ".kanata") || strings.HasSuffix(name, ".kan"):
+	switch jsonlio.Ext(path) {
+	case ".kanata", ".kan":
 		return FormatKanata
-	case strings.HasSuffix(name, ".json"):
+	case ".json":
 		return FormatChrome
 	default:
 		return FormatJSONL
@@ -64,21 +62,10 @@ func Write(w io.Writer, f Format, recs []Record) error {
 	return fmt.Errorf("pipetrace: unknown format %q", f)
 }
 
-// WriteFile exports the retained records to path. An empty format picks
-// one from the extension (FormatForPath); a ".gz" suffix gzip-compresses
-// the output (jsonlio.OpenWriter, shared with the telemetry exporters —
-// flight recordings are large).
-func (r *Recorder) WriteFile(path string, f Format) error {
-	if f == "" {
-		f = FormatForPath(path)
-	}
-	w, err := jsonlio.OpenWriter(path)
-	if err != nil {
-		return err
-	}
-	if err := Write(w, f, r.Records()); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
+// WriteFile exports the retained records to path in the format its
+// extension names (FormatForPath); a ".gz" suffix gzip-compresses the
+// output — flight recordings are large.
+func (r *Recorder) WriteFile(path string) error {
+	f := FormatForPath(path)
+	return jsonlio.EncodeFile(path, func(w io.Writer) error { return Write(w, f, r.Records()) })
 }

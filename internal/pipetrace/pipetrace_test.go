@@ -2,6 +2,8 @@ package pipetrace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -382,4 +384,35 @@ func TestRecordSpanConsistency(t *testing.T) {
 	if rec.Dispatch != -1 || rec.Issue != -1 || rec.Writeback != -1 {
 		t.Fatalf("front-end drop has stage cycles %d/%d/%d, want -1", rec.Dispatch, rec.Issue, rec.Writeback)
 	}
+}
+
+// FuzzReadJSONL: the reader never panics, and every stream it accepts
+// re-encodes with WriteJSONL and reads back to the same record count.
+func FuzzReadJSONL(f *testing.F) {
+	var seed bytes.Buffer
+	if err := WriteJSONL(&seed, goldenRecords()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	for _, name := range []string{"golden.json", "golden.kanata"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, recs); err != nil {
+			t.Fatalf("accepted records do not re-encode: %v", err)
+		}
+		back, err := ReadJSONL(&buf)
+		if err != nil || len(back) != len(recs) {
+			t.Fatalf("re-encoded stream reads back %d of %d records (%v)", len(back), len(recs), err)
+		}
+	})
 }

@@ -44,6 +44,7 @@ import (
 	"smtavf/internal/avf"
 	"smtavf/internal/isa"
 	"smtavf/internal/mem"
+	"smtavf/internal/obs"
 	"smtavf/internal/pipeline"
 	"smtavf/internal/telemetry"
 )
@@ -155,11 +156,11 @@ type Tracer struct {
 
 	// Live result gauges (PublishTelemetry); nil-receiver no-ops when
 	// telemetry is not attached.
-	telStrikes  *telemetry.Gauge
-	telResolved *telemetry.Gauge
-	telSDC      *telemetry.Gauge
-	telCross    *telemetry.Gauge
-	telDepth    *telemetry.Gauge
+	telStrikes  *obs.Gauge
+	telResolved *obs.Gauge
+	telSDC      *obs.Gauge
+	telCross    *obs.Gauge
+	telDepth    *obs.Gauge
 }
 
 // pageSize is the node count of one storage page. Nodes are appended into
@@ -271,18 +272,19 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// PublishTelemetry registers the tracer's result gauges on the collector:
-// after Analyze runs, inject.prop.strikes, inject.prop.resolved,
+// PublishTelemetry registers the tracer's result gauges on the collector's
+// registry: after Analyze runs, inject.prop.strikes, inject.prop.resolved,
 // inject.prop.sdc, inject.prop.cross_thread, and inject.prop.depth_max
-// carry the atlas headline numbers on the /telemetry and /debug/vars
-// endpoints. A nil collector leaves the tracer unobserved.
+// carry the atlas headline numbers on /debug/metrics. A nil collector
+// leaves the tracer unobserved.
 func (t *Tracer) PublishTelemetry(col *telemetry.Collector) {
 	if t == nil {
 		return
 	}
-	t.telStrikes = col.Gauge("inject.prop.strikes")
-	t.telResolved = col.Gauge("inject.prop.resolved")
-	t.telSDC = col.Gauge("inject.prop.sdc")
-	t.telCross = col.Gauge("inject.prop.cross_thread")
-	t.telDepth = col.Gauge("inject.prop.depth_max")
+	reg := col.Registry()
+	t.telStrikes = reg.Gauge("inject.prop.strikes", "")
+	t.telResolved = reg.Gauge("inject.prop.resolved", "")
+	t.telSDC = reg.Gauge("inject.prop.sdc", "")
+	t.telCross = reg.Gauge("inject.prop.cross_thread", "")
+	t.telDepth = reg.Gauge("inject.prop.depth_max", "")
 }

@@ -339,3 +339,30 @@ func BenchmarkPropagationAnalyze(b *testing.B) {
 		tracer.Analyze(strikes)
 	}
 }
+
+// FuzzReadJSONL: the reader never panics, and every stream it accepts
+// re-encodes with WriteJSONL and reads back to the same trace count.
+func FuzzReadJSONL(f *testing.F) {
+	data, err := os.ReadFile(filepath.Join("testdata", "atlas.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Seed with the first two traces: a whole-atlas seed (80 traces) makes
+	// every execution, and the minimization of each new input, far slower.
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	f.Add(bytes.Join(lines[:2], nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		traces, err := propagation.ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := propagation.WriteJSONL(&buf, traces); err != nil {
+			t.Fatalf("accepted traces do not re-encode: %v", err)
+		}
+		back, err := propagation.ReadJSONL(&buf)
+		if err != nil || len(back) != len(traces) {
+			t.Fatalf("re-encoded stream reads back %d of %d traces (%v)", len(back), len(traces), err)
+		}
+	})
+}

@@ -39,8 +39,8 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 
 func TestDebugServerRoutes(t *testing.T) {
 	c := New(Options{WindowCycles: 10_000})
-	c.Counter("inject.events").Add(3)
-	c.Gauge("inject.halfwidth.IQ").Set(0.25)
+	c.Registry().Counter("inject.events", "").Add(3)
+	c.Registry().Gauge("inject.halfwidth.IQ", "").Set(0.25)
 	c.Record(window(0))
 	_, base := startDebug(t, c)
 
@@ -56,7 +56,8 @@ func TestDebugServerRoutes(t *testing.T) {
 		t.Fatalf("unknown path = %d, want 404", code)
 	}
 
-	// /telemetry serves the snapshot with the dotted legacy names.
+	// /telemetry serves the window snapshot; live metrics are served only
+	// on /debug/metrics.
 	code, body, _ = get(t, base+"/telemetry")
 	var snap Snapshot
 	if code != http.StatusOK {
@@ -65,8 +66,8 @@ func TestDebugServerRoutes(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("/telemetry not JSON: %v", err)
 	}
-	if snap.Counters["inject.events"] != 3 || snap.Gauges["inject.halfwidth.IQ"] != 0.25 {
-		t.Fatalf("/telemetry snapshot missing registered metrics: %s", body)
+	if snap.Windows != 1 || strings.Contains(body, "inject.events") {
+		t.Fatalf("/telemetry snapshot: %s", body)
 	}
 
 	// /telemetry/ring serves the retained windows.
@@ -79,10 +80,9 @@ func TestDebugServerRoutes(t *testing.T) {
 		t.Fatalf("/telemetry/ring: err=%v len=%d", err, len(ring))
 	}
 
-	// /debug/vars carries the smtavf expvar with the same dotted names.
-	code, body, _ = get(t, base+"/debug/vars")
-	if code != http.StatusOK || !strings.Contains(body, `"inject.events"`) {
-		t.Fatalf("/debug/vars (%d) missing dotted names:\n%s", code, body)
+	// There is no second live view of the registry.
+	if code, _, _ := get(t, base+"/debug/vars"); code != http.StatusNotFound {
+		t.Fatalf("/debug/vars = %d, want 404", code)
 	}
 
 	// /debug/metrics serves lint-clean OpenMetrics with sanitized names.
@@ -144,7 +144,7 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for _, path := range []string{"/telemetry", "/telemetry/ring", "/debug/metrics", "/debug/progress", "/debug/vars"} {
+	for _, path := range []string{"/telemetry", "/telemetry/ring", "/debug/metrics", "/debug/progress"} {
 		wg.Add(1)
 		go func(url string) {
 			defer wg.Done()
@@ -163,7 +163,7 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 			}
 		}(base + path)
 	}
-	events := c.Counter("inject.events")
+	events := c.Registry().Counter("inject.events", "")
 	for i := 0; i < 50; i++ {
 		events.Inc()
 		c.Record(window(i))
@@ -182,22 +182,26 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 // collector — the sweep-driver pattern — and checks every surface moved.
 func TestDebugServerSetCollector(t *testing.T) {
 	c1 := New(Options{WindowCycles: 10_000})
-	c1.Counter("point.first").Inc()
+	c1.Registry().Counter("point.first", "").Inc()
+	c1.Record(window(0))
 	d, base := startDebug(t, c1)
 
 	c2 := New(Options{WindowCycles: 10_000})
-	c2.Counter("point.second").Add(5)
+	c2.Registry().Counter("point.second", "").Add(5)
+	c2.Record(window(0))
+	c2.Record(window(1))
 	p2 := obs.NewProgress(obs.ProgressOptions{Heartbeat: -1})
 	c2.SetProgress(p2)
 	p2.Phase("point2", 10)
 	d.SetCollector(c2)
 
 	_, body, _ := get(t, base+"/telemetry")
-	if !strings.Contains(body, "point.second") || strings.Contains(body, "point.first") {
-		t.Fatalf("/telemetry did not retarget:\n%s", body)
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil || snap.Windows != 2 {
+		t.Fatalf("/telemetry did not retarget (%v):\n%s", err, body)
 	}
 	_, body, _ = get(t, base+"/debug/metrics")
-	if !strings.Contains(body, "smtavf_point_second 5") {
+	if !strings.Contains(body, "smtavf_point_second 5") || strings.Contains(body, "point_first") {
 		t.Fatalf("/debug/metrics did not retarget:\n%s", body)
 	}
 	_, body, _ = get(t, base+"/debug/progress")

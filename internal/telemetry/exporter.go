@@ -22,27 +22,18 @@ type Exporter interface {
 }
 
 // Create opens a file exporter for path, picking the format from the
-// extension: ".csv" writes CSV, everything else JSONL (one JSON object
-// per window per line). A ".gz" suffix (".jsonl.gz", ".csv.gz")
-// gzip-compresses the stream — long sweeps and flight recordings are
-// large.
+// extension (jsonlio.Ext): ".csv" writes CSV, everything else JSONL (one
+// JSON object per window per line). A ".gz" suffix (".jsonl.gz",
+// ".csv.gz") gzip-compresses the stream — long sweeps are large.
 func Create(path string) (Exporter, error) {
-	w, err := OpenWriter(path)
+	w, err := jsonlio.OpenWriter(path)
 	if err != nil {
 		return nil, err
 	}
-	if strings.HasSuffix(strings.TrimSuffix(strings.ToLower(path), ".gz"), ".csv") {
+	if jsonlio.Ext(path) == ".csv" {
 		return NewCSV(w), nil
 	}
 	return NewJSONL(w), nil
-}
-
-// OpenWriter creates path for writing, transparently wrapping the stream
-// in gzip compression when the name ends in ".gz" — a thin delegate to the
-// shared internal/jsonlio plumbing, kept here so telemetry call sites read
-// naturally.
-func OpenWriter(path string) (io.WriteCloser, error) {
-	return jsonlio.OpenWriter(path)
 }
 
 // JSONL writes one JSON object per window per line — the schema of

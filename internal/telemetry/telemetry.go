@@ -5,13 +5,14 @@
 // fetch/flush/stall counters.
 //
 // The design follows the collector/exporter split of production metrics
-// agents: a Collector owns a registry of live counters and gauges that
-// hot-path code updates (nil-safe, so a disabled collector costs one
-// predictable branch), and a set of pluggable Exporters — JSONL and CSV
-// file writers plus an in-memory ring buffer — that each completed Window
-// fans out to. An optional debug HTTP server (debug.go) exposes
-// net/http/pprof, expvar, and a /telemetry JSON snapshot for live
-// inspection of long unattended sweeps.
+// agents: a Collector carries the obs registry that publishers register
+// their live counters and gauges on (nil-safe, so a disabled collector
+// costs one predictable branch), and a set of pluggable Exporters — JSONL
+// and CSV file writers plus an in-memory ring buffer — that each
+// completed Window fans out to. An optional debug HTTP server (debug.go)
+// exposes net/http/pprof, the registry as OpenMetrics on /debug/metrics,
+// and a /telemetry JSON snapshot of the window state for live inspection
+// of long unattended sweeps.
 //
 // AVF is strongly phase-dependent (Fu et al., MASCOTS 2006; Jaulmes et
 // al.), so the per-window series is not a convenience but a measurement:
@@ -23,7 +24,6 @@ package telemetry
 import (
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 
 	"smtavf/internal/avf"
@@ -102,16 +102,15 @@ type Options struct {
 	// Logger, when non-nil, receives one progress line per window and one
 	// line per rebase.
 	Logger *slog.Logger
-	// Registry backs the collector's live counters and gauges, surfacing
-	// them on /debug/metrics as OpenMetrics families alongside the legacy
-	// dotted names on /debug/vars. Nil builds a private registry, so
-	// existing call sites change nothing.
+	// Registry receives the live counters and gauges that publishers
+	// register through Collector.Registry, served on /debug/metrics as
+	// OpenMetrics families. Nil builds a private registry.
 	Registry *obs.Registry
 }
 
 // Collector receives completed windows from the simulator and fans them
-// out to exporters, the ring buffer, and the live registry the debug
-// server reads. A nil *Collector is a valid "disabled" collector: every
+// out to exporters and the ring buffer, and carries the live registry the
+// debug server reads. A nil *Collector is a valid "disabled" collector: every
 // method is a cheap no-op, so call sites need no branching.
 type Collector struct {
 	window uint64
@@ -121,8 +120,6 @@ type Collector struct {
 
 	mu        sync.Mutex
 	exporters []Exporter
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
 	prog      *obs.Progress
 	cumCommit uint64 // committed instructions across all windows
 	last      Window
@@ -144,17 +141,16 @@ func New(o Options) *Collector {
 		o.Registry = obs.NewRegistry()
 	}
 	return &Collector{
-		window:   o.WindowCycles,
-		logger:   o.Logger,
-		ring:     NewRing(o.RingSize),
-		reg:      o.Registry,
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
+		window: o.WindowCycles,
+		logger: o.Logger,
+		ring:   NewRing(o.RingSize),
+		reg:    o.Registry,
 	}
 }
 
-// Registry returns the metrics registry backing the collector's live
-// counters and gauges (nil for a nil collector).
+// Registry returns the metrics registry publishers register their live
+// counters and gauges on (nil for a nil collector; a nil registry hands
+// out nil instruments, whose methods are no-ops).
 func (c *Collector) Registry() *obs.Registry {
 	if c == nil {
 		return nil
@@ -325,45 +321,9 @@ func (c *Collector) Close() error {
 	return c.err
 }
 
-// Counter returns the registered live counter with the given name,
-// creating it on first use. Hot-path code holds the returned pointer and
-// calls Add/Inc on it; a nil *Collector returns a nil *Counter whose
-// methods are no-ops, so disabled telemetry costs one branch per event.
-func (c *Collector) Counter(name string) *Counter {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ctr, ok := c.counters[name]; ok {
-		return ctr
-	}
-	// The registry owns the instrument; the collector's map is the legacy
-	// dotted-name view that /debug/vars and Snapshot serve.
-	ctr := c.reg.Counter(name, "")
-	c.counters[name] = ctr
-	return ctr
-}
-
-// Gauge returns the registered live gauge with the given name, creating
-// it on first use; nil-collector semantics match Counter.
-func (c *Collector) Gauge(name string) *Gauge {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if g, ok := c.gauges[name]; ok {
-		return g
-	}
-	g := c.reg.Gauge(name, "")
-	c.gauges[name] = g
-	return g
-}
-
-// Snapshot is the live state the /telemetry endpoint and expvar publish:
-// the latest window, cumulative AVF so far, and every registered
-// counter/gauge.
+// Snapshot is the live window state the /telemetry endpoint serves: the
+// latest window and the cumulative AVF so far. Live counters and gauges
+// are served once, on /debug/metrics.
 type Snapshot struct {
 	WindowCycles uint64             `json:"window_cycles"`
 	Windows      int                `json:"windows"`
@@ -373,8 +333,6 @@ type Snapshot struct {
 	IPC          float64            `json:"ipc"`       // of the last window
 	CumAVF       map[string]float64 `json:"cum_avf,omitempty"`
 	Last         *Window            `json:"last_window,omitempty"`
-	Counters     map[string]uint64  `json:"counters,omitempty"`
-	Gauges       map[string]float64 `json:"gauges,omitempty"`
 }
 
 // Snapshot assembles the current live state. It is safe to call from a
@@ -398,47 +356,8 @@ func (c *Collector) Snapshot() Snapshot {
 		s.CumAVF = w.CumAVF
 		s.Last = &w
 	}
-	if len(c.counters) > 0 {
-		s.Counters = make(map[string]uint64, len(c.counters))
-		for name, ctr := range c.counters {
-			s.Counters[name] = ctr.Value()
-		}
-	}
-	if len(c.gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(c.gauges))
-		for name, g := range c.gauges {
-			s.Gauges[name] = g.Value()
-		}
-	}
 	return s
 }
-
-// CounterNames returns the registered counter names, sorted.
-func (c *Collector) CounterNames() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.counters))
-	for n := range c.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Counter is a monotonically increasing live metric; it is the obs
-// registry's counter, aliased so the packages that publish through the
-// collector (inject, propagation, core) migrated to the campaign
-// observability layer without a source change. The zero value is ready to
-// use; a nil *Counter is a no-op, which is how disabled telemetry keeps
-// hot paths branch-cheap. Updates are atomic so the debug server can read
-// them mid-run.
-type Counter = obs.Counter
-
-// Gauge is a live point-in-time metric; nil-safety matches Counter.
-type Gauge = obs.Gauge
 
 // round4 trims a float for log lines (full precision stays in the
 // exporters).

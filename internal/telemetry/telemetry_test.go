@@ -36,13 +36,13 @@ func TestNilCollectorIsDisabled(t *testing.T) {
 	// whose methods are no-ops.
 	c.Record(window(0))
 	c.Rebase(5)
-	ctr := c.Counter("commits")
+	ctr := c.Registry().Counter("commits", "")
 	ctr.Inc()
 	ctr.Add(41)
 	if got := ctr.Value(); got != 0 {
 		t.Fatalf("nil counter value = %d, want 0", got)
 	}
-	g := c.Gauge("ipc")
+	g := c.Registry().Gauge("ipc", "")
 	g.Set(3.5)
 	if got := g.Value(); got != 0 {
 		t.Fatalf("nil gauge value = %v, want 0", got)
@@ -60,8 +60,8 @@ func TestNilCollectorIsDisabled(t *testing.T) {
 
 func TestCollectorRecordAndSnapshot(t *testing.T) {
 	c := New(Options{WindowCycles: 10_000, RingSize: 4})
-	c.Counter("sim.committed").Add(7)
-	c.Gauge("sim.cycle").SetUint(42)
+	c.Registry().Counter("sim.committed", "").Add(7)
+	c.Registry().Gauge("sim.cycle", "").SetUint(42)
 	for i := 0; i < 6; i++ {
 		c.Record(window(i))
 	}
@@ -84,11 +84,11 @@ func TestCollectorRecordAndSnapshot(t *testing.T) {
 	if s.Windows != 6 || s.Cycle != 60_000 {
 		t.Fatalf("snapshot = %+v", s)
 	}
-	if s.Counters["sim.committed"] != 7 {
-		t.Fatalf("snapshot counter = %v", s.Counters)
+	if got := c.Registry().Counter("sim.committed", "").Value(); got != 7 {
+		t.Fatalf("registry counter = %v", got)
 	}
-	if s.Gauges["sim.cycle"] != 42 {
-		t.Fatalf("snapshot gauge = %v", s.Gauges)
+	if got := c.Registry().Gauge("sim.cycle", "").Value(); got != 42 {
+		t.Fatalf("registry gauge = %v", got)
 	}
 	if s.CumAVF[avf.IQ.String()] != last.CumAVF[avf.IQ.String()] {
 		t.Fatalf("snapshot cum AVF mismatch")
@@ -97,17 +97,14 @@ func TestCollectorRecordAndSnapshot(t *testing.T) {
 
 func TestCounterRegistryReturnsSameInstance(t *testing.T) {
 	c := New(Options{})
-	a := c.Counter("x")
-	b := c.Counter("x")
+	a := c.Registry().Counter("x", "")
+	b := c.Registry().Counter("x", "")
 	if a != b {
 		t.Fatal("registry returned distinct counters for one name")
 	}
 	a.Add(3)
 	if b.Value() != 3 {
 		t.Fatalf("shared counter value = %d", b.Value())
-	}
-	if names := c.CounterNames(); len(names) != 1 || names[0] != "x" {
-		t.Fatalf("counter names = %v", names)
 	}
 }
 
@@ -242,9 +239,6 @@ func TestDebugServerEndpoints(t *testing.T) {
 	}
 	if len(ring) != 1 {
 		t.Fatalf("ring = %+v", ring)
-	}
-	if body := get("/debug/vars"); !strings.Contains(body, "smtavf") {
-		t.Fatal("/debug/vars does not publish the smtavf snapshot")
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "profile") {
 		t.Fatal("/debug/pprof/ index missing")

@@ -19,6 +19,7 @@ package smtavf_test
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"testing"
@@ -117,5 +118,41 @@ func TestObserverGolden(t *testing.T) {
 	}
 	if again := observerDigest(t); again != got {
 		t.Errorf("same-process rerun diverges: %#016x vs %#016x", again, got)
+	}
+}
+
+// cpistackChromeGolden is the FNV-64a hash of the CPI-stack observer's
+// Chrome trace_event export on the pinned 2-thread run, recorded with the
+// per-package Chrome writer the shared jsonlio encoder replaced.
+const cpistackChromeGolden uint64 = 0xc9dbad82059e3eab
+
+// TestCPIStackChromeGolden pins the bytes of cpistack's Chrome counter
+// export on a real run. Regenerate like TestObserverGolden.
+func TestCPIStackChromeGolden(t *testing.T) {
+	cfg := smtavf.DefaultConfig(2)
+	cfg.Seed = 1
+	cfg.Warmup = 3_000
+	stack := smtavf.NewCPIStack(smtavf.CPIStackOptions{WindowCycles: 2_048})
+	sim, err := smtavf.New(cfg, smtavf.WithBenchmarks("mcf", "gcc"), smtavf.WithCPIStack(stack))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(12_000); err != nil {
+		t.Fatal(err)
+	}
+	if len(stack.Windows()) < 2 {
+		t.Fatalf("thin run: %d stack windows", len(stack.Windows()))
+	}
+	h := fnv.New64a()
+	if err := stack.WriteChrome(h); err != nil {
+		t.Fatal(err)
+	}
+	got := h.Sum64()
+	if os.Getenv("SMTAVF_WRITE_GOLDEN") != "" {
+		fmt.Printf("cpistackChromeGolden = %#016x\n", got)
+		t.Skip("golden digest printed; paste over cpistackChromeGolden")
+	}
+	if got != cpistackChromeGolden {
+		t.Errorf("cpistack Chrome export hash %#016x, want %#016x", got, cpistackChromeGolden)
 	}
 }
