@@ -6,14 +6,15 @@ import (
 
 // CampaignSpec is the one versioned, JSON-(de)serializable campaign
 // specification every driver consumes — the experiments runner, the
-// smtsim/avfsweep/avfreport CLIs, and the cmd/avfd job service all run
-// the same spec, so a campaign submitted over HTTP is byte-for-byte the
+// smtsim/avfreport CLIs, and the cmd/avfd job service all run the same
+// spec, so a campaign submitted over HTTP is byte-for-byte the
 // campaign a CLI would run. See docs/campaign-service.md for the schema
 // and docs/api.md for the migration from the per-kind experiments specs.
 type CampaignSpec = campaign.Spec
 
-// CampaignMatrix fans one base CampaignSpec out over policy/mix/seed axes
-// — the POST /v1/campaigns submission body.
+// CampaignMatrix fans one base CampaignSpec out over mix/policy/machine/
+// seed axes — the POST /v1/campaigns submission body and the matrix
+// form of an smtsim -spec file.
 type CampaignMatrix = campaign.Matrix
 
 // CampaignResult is one executed campaign point as the service streams
@@ -22,12 +23,6 @@ type CampaignResult = campaign.Result
 
 // CampaignSpecVersion is the current spec schema version.
 const CampaignSpecVersion = campaign.SpecVersion
-
-// ReadCampaignSpec loads and validates a CampaignSpec from a JSON file
-// (the smtsim -spec input).
-func ReadCampaignSpec(path string) (CampaignSpec, error) {
-	return campaign.ReadSpecFile(path)
-}
 
 // SpecConfig resolves a campaign spec into the concrete machine
 // configuration it runs — workload-derived thread count, policy, seed,

@@ -12,7 +12,7 @@
 //	avfreport -explain 2ctx-MEM-A -explain-policies ICOUNT,FLUSH
 //
 // The -crossval stopping rule shares the -inject-ci / -inject-strikes /
-// -inject-report flags with smtsim and avfsweep (they were previously
+// -inject-report flags with smtsim (they were previously
 // spelled -crossval-ci and -crossval-out here).
 //
 // avfreport is also the run ledger's browser: -runs lists the manifests
@@ -26,7 +26,7 @@
 //
 // With -obs-ledger the -crossval fanout appends one "crossval-seed"
 // manifest per seed plus the pooled summary, and every report run
-// appends a "report" record at exit (docs/campaigns.md).
+// appends a "report" record at exit (docs/campaign-service.md).
 package main
 
 import (
@@ -72,8 +72,8 @@ func main() {
 
 		runsPath   = flag.String("runs", "", "list the run-manifest ledger at this path and exit (see -obs-ledger)")
 		runsID     = flag.String("runs-id", "", "print the full manifest with this ID (or unique ID prefix) from -runs")
-		runsKind   = flag.String("runs-kind", "", "filter the -runs listing by kind (run, sweep-point, crossval-seed, ...)")
-		runsProg   = flag.String("runs-program", "", "filter the -runs listing by program (smtsim, avfsweep, avfreport)")
+		runsKind   = flag.String("runs-kind", "", "filter the -runs listing by kind (run, campaign-point, crossval-seed, ...)")
+		runsProg   = flag.String("runs-program", "", "filter the -runs listing by program (smtsim, avfreport, avfd)")
 		runsStatus = flag.String("runs-status", "", "filter the -runs listing by exit status (ok, error, interrupted)")
 
 		logFlags cliopts.Log

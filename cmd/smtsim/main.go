@@ -10,6 +10,7 @@
 //	smtsim -mix 4ctx-MIX-A -instructions 10000000 -shards 8 -shard-workers 4
 //	smtsim -spec run.json
 //	smtsim -mix 4ctx-MIX-A -policy FLUSH -dumpspec > run.json
+//	smtsim -spec sweep.json > results.jsonl
 //
 // The workload, policy, seed, machine override, and shard shape resolve
 // into one versioned campaign spec (docs/campaign-service.md): -dumpspec
@@ -17,6 +18,17 @@
 // JSON submits to the avfd campaign service unchanged. Observer flags
 // (-telemetry, -pipetrace, -cpistack, -obs-*) layer on top of a loaded
 // spec rather than living inside it.
+//
+// A -spec file with a "base" key is a campaign matrix: the base spec
+// fanned out over mixes, policies, machine patches, and seeds. A matrix
+// file, or a spec of an experiment kind (crossval, propagation,
+// explain), runs each point in order through the executor avfd uses and
+// prints one Result JSON line per point, byte-identical to avfd's stream
+// for the same matrix apart from the campaign ID. Such a run takes no
+// observer flags; -obs-ledger appends one manifest per point, and
+// -dumpspec prints the expanded points with avfd's defaults (warmup,
+// budget, -shards) written in, so one saved and rerun alone with
+// observer flags simulates exactly the run behind its Result line.
 //
 // With -shards N the run is split into N deterministic intervals per
 // thread and simulated in parallel; committed-instruction counts stay
@@ -37,7 +49,8 @@
 // artifact it wrote, exit status — to an append-only runs.jsonl; list it
 // with `avfreport -runs`. -obs-heartbeat paces the progress heartbeat
 // lines, and on a sharded run -obs-timeline writes the per-worker
-// utilization timeline as Chrome trace_event JSON (docs/campaigns.md).
+// utilization timeline as Chrome trace_event JSON (.gz compresses;
+// docs/campaign-service.md).
 // ^C flushes and closes every exporter, then records the manifest with
 // status "interrupted" instead of truncating gzip output mid-block.
 //
@@ -76,6 +89,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -83,7 +98,9 @@ import (
 	"smtavf"
 	"smtavf/internal/campaign"
 	"smtavf/internal/cliopts"
+	"smtavf/internal/experiments"
 	"smtavf/internal/inject"
+	"smtavf/internal/jsonlio"
 	"smtavf/internal/obs"
 	"smtavf/internal/pipetrace"
 	"smtavf/internal/propagation"
@@ -107,8 +124,8 @@ func main() {
 		list     = flag.Bool("list", false, "list available mixes and benchmarks, then exit")
 		cfgPath  = flag.String("config", "", "JSON machine configuration to load (overrides defaults; Threads is set from the workload)")
 		dumpCfg  = flag.Bool("dumpconfig", false, "print the effective machine configuration as JSON and exit")
-		specPath = flag.String("spec", "", "load the run from this campaign-spec JSON file instead of the workload/policy flags (observer flags still apply)")
-		dumpSpec = flag.Bool("dumpspec", false, "print the effective campaign spec as JSON and exit (submit it to avfd or rerun with -spec)")
+		specPath = flag.String("spec", "", "load the run from this campaign spec or matrix JSON file instead of the workload/policy flags (observer flags still apply to a single plain run)")
+		dumpSpec = flag.Bool("dumpspec", false, "print the effective campaign spec as JSON and exit (submit it to avfd or rerun with -spec); for a matrix -spec, its expanded points")
 		asJSON   = flag.Bool("json", false, "emit the full results as JSON")
 
 		logFlags cliopts.Log
@@ -173,13 +190,34 @@ func main() {
 	// here resolve identically.
 	var spec smtavf.CampaignSpec
 	if *specPath != "" {
-		spec, err = smtavf.ReadCampaignSpec(*specPath)
+		points, matrix, err := campaign.ReadFile(*specPath)
 		if err != nil {
 			fatal(err)
 		}
-		if k := spec.Kind(); k != campaign.KindRun {
-			fatal(fmt.Errorf("%s: smtsim runs plain specs; submit %s specs to avfd or avfreport", *specPath, k))
+		// Unset knobs take avfd's defaults, written into each point.
+		runner := experiments.NewRunner(experiments.Options{Shards: shards.N, ShardWorkers: shards.Workers})
+		for i := range points {
+			if points[i], err = runner.Pin(points[i]); err != nil {
+				fatal(err)
+			}
 		}
+		if *dumpSpec {
+			var v any = points[0]
+			if matrix {
+				v = points
+			}
+			printJSON(v)
+			return
+		}
+		// A matrix, or an experiment kind, executes point by point
+		// exactly as avfd would; one plain spec keeps the observer path.
+		if matrix || points[0].Kind() != campaign.KindRun {
+			if err := runPoints(*specPath, points, runner, &obsFlags, logger); err != nil {
+				fatal(err)
+			}
+			return
+		}
+		spec = points[0]
 		// The spec's knobs replace the corresponding flags.
 		shards.N, shards.Workers = spec.Shards, spec.ShardWorkers
 		if shards.N < 1 {
@@ -187,19 +225,7 @@ func main() {
 		}
 		if spec.Inject != nil {
 			inj.On = true
-			if spec.Inject.Every != 0 {
-				inj.Every = spec.Inject.Every
-			}
-			inj.Seed = spec.Inject.Seed
-			if spec.Inject.Stop.HalfWidth != 0 {
-				inj.CI = spec.Inject.Stop.HalfWidth
-			}
-			if spec.Inject.Stop.MaxStrikes != 0 {
-				inj.Strikes = spec.Inject.Stop.MaxStrikes
-			}
-		}
-		if spec.Instructions == 0 {
-			spec.Instructions = *instrs
+			inj.Every, inj.Seed = spec.Inject.Every, spec.Inject.Seed
 		}
 	} else {
 		spec = smtavf.CampaignSpec{
@@ -222,22 +248,22 @@ func main() {
 			fatal(fmt.Errorf("need -mix, -bench, -trace, or -spec (try -list)"))
 		}
 		if *cfgPath != "" {
-			machine := smtavf.DefaultConfig(spec.Threads())
 			data, err := os.ReadFile(*cfgPath)
 			if err != nil {
 				fatal(err)
 			}
-			if err := json.Unmarshal(data, &machine); err != nil {
+			machine, err := campaign.OverlayMachine(nil, spec.Threads(), data)
+			if err != nil {
 				fatal(fmt.Errorf("%s: %w", *cfgPath, err))
 			}
 			spec.Machine = &machine
 		}
-		if inj.On {
-			spec.Inject = &campaign.InjectSpec{
-				Every: inj.Every,
-				Seed:  inj.Seed,
-				Stop:  inject.Stop{HalfWidth: inj.CI, MaxStrikes: inj.Strikes},
-			}
+	}
+	if inj.On && spec.Inject == nil {
+		spec.Inject = &campaign.InjectSpec{
+			Every: inj.Every,
+			Seed:  inj.Seed,
+			Stop:  inject.Stop{HalfWidth: inj.CI, MaxStrikes: inj.Strikes},
 		}
 	}
 	if err := inj.Validate(); err != nil {
@@ -251,11 +277,8 @@ func main() {
 	}
 
 	if *dumpSpec {
-		data, err := spec.MarshalIndent()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(data))
+		spec.V = smtavf.CampaignSpecVersion
+		printJSON(spec)
 		return
 	}
 
@@ -264,11 +287,7 @@ func main() {
 		fatal(err)
 	}
 	if *dumpCfg {
-		data, err := json.MarshalIndent(cfg, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(data))
+		printJSON(cfg)
 		return
 	}
 	opts, err := smtavf.SpecOptions(spec)
@@ -363,6 +382,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		prot, err := smtavf.SpecProtection(spec)
+		if err != nil {
+			fatal(err)
+		}
+		camp.SetProtection(prot.Detections())
 		camp.PublishTelemetry(col)
 		opts = append(opts, smtavf.WithFaultInjection(camp))
 		man.CampaignSeed = campSeed
@@ -435,7 +459,9 @@ func main() {
 	}
 	runRes = res
 	if obsFlags.Timeline != "" {
-		if err := writeTimeline(obsFlags.Timeline, sim.Timeline()); err != nil {
+		if err := jsonlio.EncodeFile(obsFlags.Timeline, func(w io.Writer) error {
+			return smtavf.WriteTimeline(w, sim.Timeline())
+		}); err != nil {
 			fatal(fmt.Errorf("obs-timeline: %w", err))
 		}
 		man.AddArtifact("timeline", obsFlags.Timeline)
@@ -462,7 +488,7 @@ func main() {
 		atlas    *smtavf.PropagationAtlas
 	)
 	if camp != nil {
-		injStats = camp.RunStrikes(res.Cycles, smtavf.StopWhen(inj.CI, inj.Strikes))
+		injStats = camp.RunStrikes(res.Cycles, spec.Inject.Stop)
 		runStats = injStats
 		injXval = smtavf.CrossValidate(smtavf.CrossValMeta{
 			Workload: spec.WorkloadName(),
@@ -563,18 +589,66 @@ func main() {
 	}
 }
 
-// writeTimeline exports the sharded run's worker-phase spans as Chrome
-// trace_event JSON for chrome://tracing / Perfetto.
-func writeTimeline(path string, spans []smtavf.Span) error {
-	f, err := os.Create(path)
+// pointFlags are the flags that apply to a campaign file run point by
+// point; every other flag configures a single run's observers or axes.
+var pointFlags = map[string]bool{
+	"spec": true, "shards": true, "shard-workers": true,
+	"log-level": true, "log-json": true, "cpuprofile": true, "memprofile": true,
+	"obs-ledger": true,
+}
+
+// runPoints executes a campaign file's points in order through the
+// executor avfd uses — an experiments.Runner with avfd's default options
+// (base budget 50 000, seed 1) and -shards as the shard defaults — and
+// writes each Result to stdout as one JSON line, encoded as avfd's
+// stream encodes it. -obs-ledger gets one campaign-point manifest per
+// point.
+func runPoints(path string, points []campaign.Spec, runner *experiments.Runner, obsFlags *cliopts.Obs, logger *slog.Logger) error {
+	var bad []string
+	flag.Visit(func(f *flag.Flag) {
+		if !pointFlags[f.Name] {
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	if len(bad) > 0 {
+		return fmt.Errorf("%s holds %d point(s) run as a campaign; %s configure a single run (run one point printed by -dumpspec instead)",
+			path, len(points), strings.Join(bad, ", "))
+	}
+	ledger, err := obsFlags.OpenLedger()
 	if err != nil {
 		return err
 	}
-	if err := smtavf.WriteTimeline(f, spans); err != nil {
-		f.Close()
-		return err
+	enc := json.NewEncoder(os.Stdout)
+	failed := 0
+	for i, p := range points {
+		start := time.Now()
+		res := campaign.RunPoint(runner.Campaign, p, i)
+		if err := ledger.Append(campaign.PointManifest("smtsim", p, res, start)); err != nil {
+			return fmt.Errorf("obs-ledger: %w", err)
+		}
+		if err := enc.Encode(res); err != nil {
+			return err
+		}
+		if res.Status != obs.StatusOK {
+			failed++
+		}
+		logger.Info("campaign point", "point", i, "of", len(points), "name", res.Name,
+			"status", res.Status, "elapsed", time.Since(start).Round(time.Millisecond).String())
 	}
-	return f.Close()
+	if failed > 0 {
+		return fmt.Errorf("%d of %d points failed", failed, len(points))
+	}
+	return nil
+}
+
+// printJSON writes v to stdout as indented JSON (the -dumpspec and
+// -dumpconfig output).
+func printJSON(v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Println(string(data))
 }
 
 func fatal(err error) {

@@ -31,9 +31,7 @@ func NewMux(s *Service) *http.ServeMux {
 	})
 	mux.HandleFunc("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var m Matrix
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&m); err != nil {
+		if err := decodeStrict(http.MaxBytesReader(w, r.Body, 16<<20), &m); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}

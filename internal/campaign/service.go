@@ -231,24 +231,17 @@ func (s *Service) execute(j job) {
 	}
 
 	start := time.Now()
-	res, err := s.opts.Executor(j.spec)
-	if err != nil || res == nil {
-		if err == nil {
-			err = errors.New("campaign: executor returned no result")
-		}
-		res = Err(j.spec, err)
-	}
-	res.V = ResultVersion
-	res.Point = j.point
+	res := RunPoint(s.opts.Executor, j.spec, j.point)
 	res.Campaign = j.id
-	if res.Status == "" {
-		res.Status = obs.StatusOK
-	}
 
 	if perr := s.store.AppendResult(j.id, res); perr != nil {
 		s.log.Error("campaign: persisting result", "id", j.id, "point", j.point, "err", perr)
 	}
-	s.appendPointManifest(j, res, start)
+	if s.opts.Ledger != nil {
+		if aerr := s.opts.Ledger.Append(PointManifest(s.opts.Program, j.spec, res, start)); aerr != nil {
+			s.log.Error("campaign: ledger append", "id", j.id, "point", j.point, "err", aerr)
+		}
+	}
 
 	s.mu.Lock()
 	c.results[j.point] = res
@@ -272,33 +265,51 @@ func (s *Service) execute(j job) {
 	}
 }
 
-// appendPointManifest records one executed point in the run ledger.
-func (s *Service) appendPointManifest(j job, res *Result, start time.Time) {
-	if s.opts.Ledger == nil {
-		return
+// RunPoint executes one campaign point and returns its Result as the
+// service streams it: an executor error becomes an error Result, and the
+// schema version, point index, and status are always set. smtsim -spec
+// runs matrix files through it, so its JSON lines match avfd's stream.
+func RunPoint(exec Executor, spec Spec, point int) *Result {
+	res, err := exec(spec)
+	if err != nil || res == nil {
+		if err == nil {
+			err = errors.New("campaign: executor returned no result")
+		}
+		res = Err(spec, err)
 	}
-	m := obs.NewManifest("campaign-point", s.opts.Program)
+	res.V = ResultVersion
+	res.Point = point
+	if res.Status == "" {
+		res.Status = obs.StatusOK
+	}
+	return res
+}
+
+// PointManifest is the run-ledger record of one executed point (kind
+// "campaign-point"), started at start and finished now.
+func PointManifest(program string, spec Spec, res *Result, start time.Time) *obs.RunManifest {
+	m := obs.NewManifest("campaign-point", program)
 	m.Start = start.UTC().Format(time.RFC3339Nano)
 	m.Policy = res.Policy
-	m.Seed = j.spec.Seed
-	m.Workloads = j.spec.WorkloadIDs()
+	m.Seed = spec.Seed
+	m.Workloads = spec.WorkloadIDs()
 	m.Cycles = res.Cycles
 	m.Instructions = res.Instructions
-	m.Shards = j.spec.Shards
+	m.Shards = spec.Shards
 	m.Strikes = res.Strikes
 	m.Extra = map[string]string{
-		"campaign": j.id,
-		"point":    fmt.Sprint(j.point),
-		"kind":     string(res.Kind),
+		"point": fmt.Sprint(res.Point),
+		"kind":  string(res.Kind),
+	}
+	if res.Campaign != "" {
+		m.Extra["campaign"] = res.Campaign
 	}
 	var err error
 	if res.Status != obs.StatusOK {
 		err = errors.New(res.Error)
 	}
 	m.Finish(obs.StatusOK, err)
-	if aerr := s.opts.Ledger.Append(m); aerr != nil {
-		s.log.Error("campaign: ledger append", "id", j.id, "point", j.point, "err", aerr)
-	}
+	return m
 }
 
 // appendCampaignManifest records a campaign-level terminal transition.

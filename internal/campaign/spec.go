@@ -1,5 +1,5 @@
 // Package campaign defines the one versioned, JSON-(de)serializable
-// campaign specification every smtavf driver consumes — smtsim, avfsweep,
+// campaign specification every smtavf driver consumes — smtsim,
 // avfreport, the experiments runner, and the cmd/avfd job service all run
 // the same Spec, so a campaign submitted over HTTP is byte-for-byte the
 // campaign a CLI would run.
@@ -11,13 +11,16 @@
 // fault-injection cross-validation, a fault-propagation atlas, or the
 // CPI-stack explainability study.
 //
-// The package also carries the campaign job service behind cmd/avfd: a
-// Matrix fans one base Spec out into points, a Service executes points on
-// a bounded worker pool with per-point results persisted for resume, and
-// NewMux exposes the HTTP/JSON API. See docs/campaign-service.md.
+// A Matrix fans one base Spec out into points over mixes, policies,
+// machine patches, and seeds; smtsim -spec runs a matrix file point by
+// point, and the campaign job service behind cmd/avfd runs the same
+// matrix on a bounded worker pool with per-point results persisted for
+// resume, exposed by NewMux as an HTTP/JSON API. See
+// docs/campaign-service.md.
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -313,8 +316,8 @@ func ProtectionMap(p core.ProtectionModes) map[string]string {
 }
 
 // Defaults supplies the caller-level fallbacks a Spec resolves against —
-// the experiments runner passes its Options-derived seed, warmup, budget
-// rule, and Configure hook here, so a spec run through the runner behaves
+// the experiments runner passes its Options-derived seed, warmup, and
+// budget rule here, so a spec run through the runner behaves
 // exactly like the per-kind methods it replaced.
 type Defaults struct {
 	// Seed backs Spec.Seed when 0 (then 1).
@@ -323,8 +326,6 @@ type Defaults struct {
 	Warmup uint64
 	// Budget backs Spec.Instructions when 0 (nil leaves the quota 0).
 	Budget func(contexts int) uint64
-	// Configure, if non-nil, may adjust the machine configuration last.
-	Configure func(*core.Config)
 }
 
 // Resolved is a Spec joined with its Defaults: the concrete machine
@@ -399,9 +400,6 @@ func (s Spec) Resolve(d Defaults) (*Resolved, error) {
 	if err := cfg.SetPolicy(s.PolicyName()); err != nil {
 		return nil, err
 	}
-	if d.Configure != nil {
-		d.Configure(&cfg)
-	}
 	rv.Config = cfg
 
 	rv.Protection, _ = ParseProtection(s.Protection) // Validate vetted it
@@ -458,26 +456,33 @@ func (rv *Resolved) SourceFactory() (func() ([]core.Source, error), error) {
 	}, nil
 }
 
-// ReadSpecFile loads and validates a Spec from a JSON file.
-func ReadSpecFile(path string) (Spec, error) {
-	var s Spec
+// ReadFile loads a campaign file and expands it into its points. A file
+// whose top-level object has a "base" key is a Matrix; any other is one
+// Spec. Both decode strictly, like POST /v1/campaigns, and every point
+// is validated.
+func ReadFile(path string) (points []Spec, matrix bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return s, err
+		return nil, false, err
 	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("%s: %w", path, err)
+	var keys map[string]json.RawMessage
+	if err = json.Unmarshal(data, &keys); err == nil {
+		if _, matrix = keys["base"]; matrix {
+			var m Matrix
+			if err = decodeStrict(bytes.NewReader(data), &m); err == nil {
+				points, err = m.Points()
+			}
+		} else {
+			var s Spec
+			if err = decodeStrict(bytes.NewReader(data), &s); err == nil {
+				err = s.Validate()
+			}
+			s.V = SpecVersion
+			points = []Spec{s}
+		}
 	}
-	if err := s.Validate(); err != nil {
-		return s, fmt.Errorf("%s: %w", path, err)
+	if err != nil {
+		return nil, matrix, fmt.Errorf("%s: %w", path, err)
 	}
-	s.V = SpecVersion
-	return s, nil
-}
-
-// MarshalIndent renders the spec as stable, human-diffable JSON (the
-// smtsim -dumpspec output and the stored service points).
-func (s Spec) MarshalIndent() ([]byte, error) {
-	s.V = SpecVersion
-	return json.MarshalIndent(s, "", "  ")
+	return points, matrix, nil
 }

@@ -165,7 +165,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		Protection: map[string]string{"IQ": "ecc"},
 		Inject:     &InjectSpec{Every: 8, Stop: inject.Stop{MaxStrikes: 100}},
 	}
-	data, err := spec.MarshalIndent()
+	data, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,23 +173,58 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSpecFile(path)
+	points, matrix, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.V = SpecVersion
-	if !reflect.DeepEqual(back, spec) {
-		t.Fatalf("round trip changed the spec:\n got %+v\nwant %+v", back, spec)
+	if matrix || len(points) != 1 || !reflect.DeepEqual(points[0], spec) {
+		t.Fatalf("round trip changed the spec:\n got %+v (matrix %v)\nwant %+v", points, matrix, spec)
 	}
 }
 
+// TestReadSpecFileRejectsInvalid covers invalid specs and the strict
+// decode: a misspelled key anywhere — top level, inside the machine
+// override, on a matrix, or inside a machine patch — is an error, never
+// a silently ignored field that runs the default.
 func TestReadSpecFileRejectsInvalid(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "spec.json")
-	if err := os.WriteFile(path, []byte(`{"v":1}`), 0o644); err != nil {
+	for name, body := range map[string]string{
+		"sourceless":        `{"v":1}`,
+		"typo'd key":        `{"mix":"2ctx-CPU-A","polcy":"FLUSH"}`,
+		"typo'd machine":    `{"mix":"2ctx-CPU-A","machine":{"IQSzie":48}}`,
+		"trailing data":     `{"mix":"2ctx-CPU-A"} {"mix":"2ctx-MEM-A"}`,
+		"typo'd matrix key": `{"base":{"mix":"2ctx-CPU-A"},"polices":["FLUSH"]}`,
+		"typo'd base key":   `{"base":{"mix":"2ctx-CPU-A","seeed":3}}`,
+		"typo'd patch":      `{"base":{"mix":"2ctx-CPU-A"},"machines":[{"IQSize":48},{"ROBSzie":64}]}`,
+		"not an object":     `["2ctx-CPU-A"]`,
+	} {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadFile(path); err == nil {
+			t.Errorf("%s: %s loaded without error", name, body)
+		}
+	}
+}
+
+// TestReadFileMatrix: a file with a "base" key is a matrix and expands
+// into its points.
+func TestReadFileMatrix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	body := `{"base":{"mix":"2ctx-MIX-A","instructions":30000},"policies":["ICOUNT","FLUSH"],"machines":[{"IQSize":48},{"IQSize":96}]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSpecFile(path); err == nil {
-		t.Fatal("sourceless spec loaded without error")
+	points, matrix, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matrix || len(points) != 4 {
+		t.Fatalf("got %d points (matrix %v), want a 4-point matrix", len(points), matrix)
+	}
+	if points[3].Name != `FLUSH/{"IQSize":96}` || points[3].Machine.IQSize != 96 {
+		t.Errorf("point 3 = %q with IQSize %d", points[3].Name, points[3].Machine.IQSize)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package cliopts centralizes the flag groups shared by the smtavf
-// commands (smtsim, avfsweep, avfreport): structured logging, telemetry,
+// commands (smtsim, avfreport, avfd): structured logging, telemetry,
 // fault injection, pipeline tracing, and sharded execution. Each group is
 // a struct with one Register method binding its flags to a FlagSet and one
 // validation path, so every command spells the same option the same way
@@ -47,10 +47,9 @@ func (l *Log) Logger(w io.Writer) (*slog.Logger, error) {
 }
 
 // Telemetry is the live-metrics flag group (-telemetry,
-// -telemetry-window, -debug-addr, and optionally -telemetry-dir).
+// -telemetry-window, -debug-addr).
 type Telemetry struct {
 	Path      string
-	Dir       string
 	Window    uint64
 	DebugAddr string
 }
@@ -62,15 +61,9 @@ func (t *Telemetry) Register(fs *flag.FlagSet) {
 	fs.StringVar(&t.DebugAddr, "debug-addr", "", help("debug-addr"))
 }
 
-// RegisterDir additionally binds -telemetry-dir (one series file per run),
-// for commands that execute many runs.
-func (t *Telemetry) RegisterDir(fs *flag.FlagSet) {
-	fs.StringVar(&t.Dir, "telemetry-dir", "", help("telemetry-dir"))
-}
-
 // Enabled reports whether any telemetry sink was requested.
 func (t *Telemetry) Enabled() bool {
-	return t.Path != "" || t.Dir != "" || t.DebugAddr != ""
+	return t.Path != "" || t.DebugAddr != ""
 }
 
 // Validate rejects meaningless settings.

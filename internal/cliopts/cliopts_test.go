@@ -42,12 +42,12 @@ func TestLog(t *testing.T) {
 
 func TestTelemetry(t *testing.T) {
 	var tel Telemetry
-	parse(t, func(fs *flag.FlagSet) {
-		tel.Register(fs)
-		tel.RegisterDir(fs)
-	}, "-telemetry-dir", "series/", "-telemetry-window", "5000")
-	if !tel.Enabled() {
-		t.Fatal("telemetry-dir did not enable telemetry")
+	parse(t, tel.Register, "-telemetry", "run.jsonl", "-telemetry-window", "5000")
+	if !tel.Enabled() || tel.Path != "run.jsonl" || tel.Window != 5000 {
+		t.Fatalf("parsed %+v", tel)
+	}
+	if !(&Telemetry{DebugAddr: ":0"}).Enabled() {
+		t.Fatal("debug-addr did not enable telemetry")
 	}
 	if err := tel.Validate(); err != nil {
 		t.Fatal(err)

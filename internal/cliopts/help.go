@@ -14,7 +14,6 @@ var helpText = map[string]string{
 	// Telemetry
 	"telemetry":        "write a cycle-windowed telemetry series to this file (JSONL; .csv for CSV, .gz compresses)",
 	"telemetry-window": "telemetry sampling window in cycles",
-	"telemetry-dir":    "record one cycle-windowed JSONL series per run into this directory",
 	"debug-addr":       "serve /telemetry, /debug/metrics and /debug/pprof on this address during the run (e.g. :6060)",
 
 	// Inject
@@ -48,7 +47,7 @@ var helpText = map[string]string{
 	// Obs
 	"obs-ledger":    "append one run-manifest record per run to this JSONL ledger (list with avfreport -runs)",
 	"obs-heartbeat": "minimum wall-clock gap between progress heartbeat log lines (0 disables them)",
-	"obs-timeline":  "write the sharded run's worker-utilization timeline as Chrome trace_event JSON to this file (requires -shards > 1)",
+	"obs-timeline":  "write the sharded run's worker-utilization timeline as Chrome trace_event JSON to this file (.gz compresses; requires -shards > 1)",
 
 	// Shards
 	"shards":        "split the run into this many deterministic intervals per thread and simulate them in parallel (1 = monolithic; see docs/sharding.md)",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -29,14 +30,18 @@ func (c Config) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON implements json.Unmarshaler, resolving the policy by
 // name. An absent or empty policy name leaves the field nil (callers can
-// fall back to a default).
+// fall back to a default). Unknown fields are rejected: a decoder's
+// DisallowUnknownFields does not reach into a custom unmarshaler, so a
+// misspelled machine knob would otherwise be dropped silently.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	type plain Config
 	aux := struct {
 		*plain
 		Policy string
 	}{plain: (*plain)(c)}
-	if err := json.Unmarshal(data, &aux); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&aux); err != nil {
 		return err
 	}
 	c.Policy = nil

@@ -54,6 +54,15 @@ func TestConfigJSONUnknownPolicy(t *testing.T) {
 	}
 }
 
+// TestConfigJSONUnknownField: a misspelled knob is an error, not a
+// silently kept default.
+func TestConfigJSONUnknownField(t *testing.T) {
+	cfg := DefaultConfig(2)
+	if err := json.Unmarshal([]byte(`{"IQSzie":48}`), &cfg); err == nil {
+		t.Fatal("unknown field accepted")
+	}
+}
+
 func TestConfigJSONEmptyPolicy(t *testing.T) {
 	var cfg Config
 	if err := json.Unmarshal([]byte(`{"Threads":2}`), &cfg); err != nil {

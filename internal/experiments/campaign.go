@@ -17,11 +17,32 @@ import (
 // of a campaign.Spec run through the runner.
 func (r *Runner) defaults() campaign.Defaults {
 	return campaign.Defaults{
-		Seed:      r.opts.Seed,
-		Warmup:    r.opts.Warmup,
-		Budget:    r.budget,
-		Configure: r.opts.Configure,
+		Seed:   r.opts.Seed,
+		Warmup: r.opts.Warmup,
+		Budget: r.budget,
 	}
+}
+
+// Pin writes into spec what this runner would default for it — warmup,
+// instruction budget, strike interval, a plain run's shard shape — so it
+// means the same run under any defaults, including none (smtsim's
+// observer path). The seed defaults to 1 everywhere and is left as is.
+func (r *Runner) Pin(spec campaign.Spec) (campaign.Spec, error) {
+	rv, err := spec.Resolve(r.defaults())
+	if err != nil {
+		return spec, err
+	}
+	spec.Warmup, spec.NoWarmup = rv.Config.Warmup, rv.Config.Warmup == 0
+	spec.Instructions = rv.Quota
+	if spec.Inject != nil {
+		in := *spec.Inject // matrix points share the base's
+		in.Every = rv.Every
+		spec.Inject = &in
+	}
+	if spec.Kind() == campaign.KindRun && spec.Shards == 0 && spec.Inject == nil && r.opts.Shards > 1 {
+		spec.Shards, spec.ShardWorkers = r.opts.Shards, r.opts.ShardWorkers
+	}
+	return spec, nil
 }
 
 // Campaign executes one campaign point — the single entry point the CLIs
@@ -248,8 +269,7 @@ func (r *Runner) campaignPropagation(spec campaign.Spec) (*campaign.Result, erro
 
 // campaignExplain runs the workload once per policy with the CPI-stack
 // observer attached and distills the runs into the explainability figure
-// family. Each policy re-resolves the spec so the Configure hook sees the
-// final per-policy configuration.
+// family. Each policy re-resolves the spec into its own configuration.
 func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 	rv0, err := spec.Resolve(r.defaults())
 	if err != nil {

@@ -35,9 +35,6 @@ func (r *Runner) Provenance(mixName, policy string, top int) ([]*Table, error) {
 	if err := cfg.SetPolicy(policy); err != nil {
 		return nil, err
 	}
-	if r.opts.Configure != nil {
-		r.opts.Configure(&cfg)
-	}
 	profiles := make([]trace.Profile, 0, contexts)
 	for _, b := range m.Benchmarks {
 		p, err := workload.Profile(b)

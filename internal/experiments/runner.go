@@ -29,9 +29,6 @@ type Options struct {
 	NoWarmup bool
 	// Seed makes the whole report reproducible.
 	Seed uint64
-	// Configure, if non-nil, may adjust each machine configuration before
-	// a run (used by ablation benchmarks).
-	Configure func(*core.Config)
 	// Shards splits every run into this many deterministic intervals per
 	// thread, simulated in parallel on ShardWorkers goroutines (see
 	// internal/shard). 0 or 1 runs monolithically. Sharded runs keep exact
@@ -127,9 +124,6 @@ func (r *Runner) runMix(contexts int, kind workload.Kind, group workload.Group, 
 	if err := cfg.SetPolicy(policy); err != nil {
 		return nil, err
 	}
-	if r.opts.Configure != nil {
-		r.opts.Configure(&cfg)
-	}
 	profiles := make([]trace.Profile, 0, len(m.Benchmarks))
 	for _, b := range m.Benchmarks {
 		p, err := workload.Profile(b)
@@ -183,9 +177,6 @@ func (r *Runner) runSingle(bench string, quota uint64) (*core.Results, error) {
 	cfg := core.DefaultConfig(1)
 	cfg.Seed = r.opts.Seed
 	cfg.Warmup = r.opts.Warmup
-	if r.opts.Configure != nil {
-		r.opts.Configure(&cfg)
-	}
 	res, err := r.run(cfg, []trace.Profile{p}, quota)
 	if err != nil {
 		return nil, fmt.Errorf("single %s: %w", bench, err)

@@ -75,9 +75,6 @@ func (r *Runner) Sensitivity() ([]*Table, error) {
 			cfg.Seed = r.opts.Seed
 			cfg.Warmup = r.opts.Warmup
 			sw.apply(&cfg, n)
-			if r.opts.Configure != nil {
-				r.opts.Configure(&cfg)
-			}
 			proc, err := core.New(cfg, profiles)
 			if err != nil {
 				return nil, err

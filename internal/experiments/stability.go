@@ -45,9 +45,6 @@ func (r *Runner) Stability(seeds int) ([]*Table, error) {
 			cfg := core.DefaultConfig(4)
 			cfg.Seed = seed
 			cfg.Warmup = r.opts.Warmup
-			if r.opts.Configure != nil {
-				r.opts.Configure(&cfg)
-			}
 			proc, err := core.New(cfg, profiles)
 			if err != nil {
 				return nil, err

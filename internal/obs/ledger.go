@@ -34,12 +34,12 @@ type Artifact struct {
 
 // RunManifest is one ledger record: the full provenance of a single run,
 // sweep point, inject campaign, or crossval seed. One manifest marshals
-// to one JSONL line of runs.jsonl (docs/campaigns.md documents the
+// to one JSONL line of runs.jsonl (docs/campaign-service.md documents the
 // schema).
 type RunManifest struct {
 	V    int    `json:"v"`
 	ID   string `json:"id"`
-	Kind string `json:"kind"` // run | sweep-point | inject | crossval-seed | ...
+	Kind string `json:"kind"` // run | campaign-point | campaign | crossval-seed | ...
 
 	Program      string   `json:"program,omitempty"`
 	ConfigDigest string   `json:"config_digest,omitempty"`

@@ -33,7 +33,7 @@
 //
 // The package depends only on the standard library and internal/jsonlio,
 // so every subsystem (telemetry, shard, inject) can attach to it without
-// import cycles. docs/campaigns.md documents the ledger schema, the
+// import cycles. docs/campaign-service.md documents the ledger schema, the
 // OpenMetrics name table, and the scrape recipes.
 package obs
 

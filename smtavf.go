@@ -327,7 +327,7 @@ func WithCPIStack(o *CPIStack) Option {
 // phases drive its Progress tracker, and a RunManifest is appended to its
 // Ledger when the run finishes. Unlike the pipeline observers, this
 // option is valid on BOTH monolithic and sharded runs — it watches the
-// campaign, not the simulated cycle timeline. See docs/campaigns.md.
+// campaign, not the simulated cycle timeline. See docs/campaign-service.md.
 func WithObservability(o *Observability) Option {
 	return func(s *settings) error {
 		s.obsv = o
@@ -711,7 +711,7 @@ func CrossValidate(meta CrossValMeta, res *Results, stats *InjectStats) *CrossVa
 // Observability bundles the campaign-observability handles a run carries:
 // a metrics Registry (OpenMetrics at /debug/metrics), a Progress tracker
 // (heartbeats and /debug/progress), and a run Ledger (runs.jsonl). Any
-// field may be nil. Attach with WithObservability; see docs/campaigns.md.
+// field may be nil. Attach with WithObservability; see docs/campaign-service.md.
 type Observability = obs.Observability
 
 // MetricsRegistry is the typed metrics registry of the observability
